@@ -27,7 +27,9 @@ int main() {
     const auto analysis = core::analyze_snapshots(
         run.snapshots, bench::paper_pipeline_config());
 
-    const auto& sweep = analysis.detection.sweep;
+    // The pipeline ran the elbow rule, which leaves silhouettes unscored.
+    cluster::KSweep sweep = analysis.detection.sweep;
+    cluster::score_silhouettes(sweep, analysis.features.features, nullptr);
     const std::size_t ei = cluster::select_elbow(sweep);
     const std::size_t si = cluster::select_silhouette(sweep);
     t.add_row({name, std::to_string(app->paper_phases()),

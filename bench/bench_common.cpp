@@ -57,9 +57,12 @@ core::PhaseAnalysis run_table_bench(const std::string& app_name,
   const core::PhaseAnalysis analysis =
       core::analyze_snapshots(run.snapshots, paper_pipeline_config());
 
-  std::printf("%s\n", core::render_k_sweep(analysis.detection.sweep,
-                                           analysis.chosen_sweep_index)
-                          .c_str());
+  // The elbow rule never scores silhouettes; score a copy for the table.
+  cluster::KSweep sweep = analysis.detection.sweep;
+  cluster::score_silhouettes(sweep, analysis.features.features, nullptr);
+  std::printf("%s\n",
+              core::render_k_sweep(sweep, analysis.detection.chosen_index)
+                  .c_str());
   std::printf("%s\n",
               core::render_phase_timeline(analysis.detection.assignments)
                   .c_str());

@@ -57,9 +57,11 @@ int main(int argc, char** argv) {
   const core::PhaseAnalysis analysis =
       core::analyze_snapshots(run.snapshots, pipe);
 
+  // The elbow rule never scores silhouettes; score a copy for the table.
+  cluster::KSweep sweep = analysis.detection.sweep;
+  cluster::score_silhouettes(sweep, analysis.features.features, nullptr);
   std::printf("\n== k selection (elbow over WCSS) ==\n%s",
-              core::render_k_sweep(analysis.detection.sweep,
-                                   analysis.chosen_sweep_index)
+              core::render_k_sweep(sweep, analysis.detection.chosen_index)
                   .c_str());
   std::printf("\n== fast-phase diagnosis ==\n%s\n",
               core::diagnose_fast_phases(analysis.intervals).summary()

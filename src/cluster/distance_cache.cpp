@@ -1,11 +1,8 @@
 #include "cluster/distance_cache.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <new>
 #include <string>
 
-#include "cluster/aligned.hpp"
 #include "cluster/simd/simd.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -13,10 +10,9 @@
 namespace incprof::cluster {
 namespace {
 
-/// Condensed-size guard shared by both builds: the pair count and its
-/// byte size must fit, and the resize must succeed. Returns false
-/// (logging why) for adversarial n instead of UB or an escaping
-/// bad_alloc.
+/// Condensed-size guard: the pair count and its byte size must fit,
+/// and the resize must succeed. Returns false (logging why) for
+/// adversarial n instead of UB or an escaping bad_alloc.
 bool reserve_condensed(std::size_t n, std::vector<double>& d2) {
   const auto pairs = checked_pair_count(n);
   if (!pairs || !checked_mul(*pairs, sizeof(double))) {
@@ -70,86 +66,6 @@ DistanceCache DistanceCache::build(const Matrix& points,
     for (std::size_t i = 0; i + 1 < n; ++i) fill_row(i);
   }
   return cache;
-}
-
-DistanceCache DistanceCache::build_fp32(const Matrix& points,
-                                        util::ThreadPool* pool) {
-  DistanceCache cache;
-  const std::size_t n = points.rows();
-  if (n < 2) {
-    cache.n_ = n;
-    return cache;
-  }
-  if (!reserve_condensed(n, cache.d2_)) return cache;
-  cache.n_ = n;
-
-  // Narrow the rows into an aligned float copy with the same padded
-  // stride discipline as Matrix.
-  const std::size_t d = points.cols();
-  const std::size_t stride = (d + 15) / 16 * 16;  // 64 bytes of floats
-  std::vector<float, AlignedAllocator<float, 64>> narrowed;
-  const auto extent = checked_mul(n, stride);
-  if (!extent || !checked_mul(*extent, sizeof(float))) {
-    util::log_error("DistanceCache: fp32 buffer for n=" + std::to_string(n) +
-                    " rows overflows; returning empty cache");
-    cache.n_ = 0;
-    cache.d2_.clear();
-    return cache;
-  }
-  try {
-    narrowed.resize(*extent, 0.0f);
-  } catch (const std::bad_alloc&) {
-    util::log_error("DistanceCache: fp32 buffer allocation failed; "
-                    "returning empty cache");
-    cache.n_ = 0;
-    cache.d2_.clear();
-    return cache;
-  }
-  std::vector<const float*> row_ptrs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    float* dst = narrowed.data() + i * stride;
-    const auto src = points.row(i);
-    for (std::size_t j = 0; j < d; ++j) dst[j] = static_cast<float>(src[j]);
-    row_ptrs[i] = dst;
-  }
-
-  const simd::BatchKernels& kernels = simd::kernels();
-  auto fill_row = [&](std::size_t i) {
-    const std::size_t base = i * (2 * n - i - 1) / 2;
-    const std::size_t count = n - i - 1;
-    float out32[256];
-    std::size_t done = 0;
-    while (done < count) {
-      const std::size_t chunk = std::min<std::size_t>(256, count - done);
-      kernels.squared_euclidean_f32(row_ptrs[i],
-                                    row_ptrs.data() + i + 1 + done, chunk, d,
-                                    out32);
-      double* dst = cache.d2_.data() + base + done;
-      for (std::size_t t = 0; t < chunk; ++t) {
-        dst[t] = static_cast<double>(out32[t]);
-      }
-      done += chunk;
-    }
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(n - 1, fill_row);
-  } else {
-    for (std::size_t i = 0; i + 1 < n; ++i) fill_row(i);
-  }
-  return cache;
-}
-
-double DistanceCache::max_relative_divergence(
-    const DistanceCache& a, const DistanceCache& b) noexcept {
-  if (a.n_ != b.n_ || a.d2_.size() != b.d2_.size()) return 0.0;
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.d2_.size(); ++i) {
-    const double denom = std::max(std::fabs(b.d2_[i]), 1e-12);
-    const double rel = std::fabs(a.d2_[i] - b.d2_[i]) / denom;
-    if (rel > worst) worst = rel;
-  }
-  return worst;
 }
 
 }  // namespace incprof::cluster

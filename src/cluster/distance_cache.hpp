@@ -1,5 +1,5 @@
-// Shared pairwise-distance cache for the analysis engine. The k-sweep
-// scores every k >= 2 with the silhouette, DBSCAN scans neighborhoods,
+// Shared pairwise-distance cache for the analysis engine.
+// score_silhouettes scores every k >= 2, DBSCAN scans neighborhoods,
 // and suggest_eps ranks k-th neighbor distances — all over the same
 // O(n^2 * d) pairwise-distance set, which the serial pipeline used to
 // recompute from scratch at every consumer. DistanceCache computes it
@@ -16,7 +16,7 @@
 //
 // Memory bound: n*(n-1)/2 doubles — ~4 MB for the paper's 1000-interval
 // scale, ~400 MB at n = 10^4.5; bytes_required(n) lets callers gate the
-// trade (sweep_k skips the cache above kAutoCacheMaxRows). All size
+// trade (score_silhouettes skips the cache above its budget). All size
 // arithmetic is overflow-checked: adversarial n makes build() return an
 // empty cache (and log) instead of wrapping into UB, and
 // bytes_required saturates to SIZE_MAX so budget gates fail closed.
@@ -51,20 +51,6 @@ class DistanceCache {
   /// cannot be allocated.
   static DistanceCache build(const Matrix& points,
                              util::ThreadPool* pool = nullptr);
-
-  /// fp32 twin for the opt-in --fp32 path: distances are computed in
-  /// float (from a float copy of the rows) and widened into the same
-  /// condensed layout. NOT covered by the bitwise fp64 contract —
-  /// callers gate it explicitly and may verify with
-  /// max_relative_divergence().
-  static DistanceCache build_fp32(const Matrix& points,
-                                  util::ThreadPool* pool = nullptr);
-
-  /// Largest |a - b| / max(|b|, 1e-12) over all condensed entries of
-  /// two same-size caches (fp32 vs fp64 verify). Returns 0 for empty
-  /// or mismatched caches.
-  static double max_relative_divergence(const DistanceCache& a,
-                                        const DistanceCache& b) noexcept;
 
   /// Heap bytes a cache over n rows requires; saturates to SIZE_MAX
   /// when the count overflows, so "fits under budget" gates fail

@@ -13,11 +13,10 @@ namespace incprof::cluster {
 
 namespace {
 
-/// Largest input for which sweep_k builds a DistanceCache on its own:
-/// 16384 rows is a ~1 GB condensed buffer, the most we silently spend.
-/// Callers with bigger inputs (or tighter budgets) pass their own cache
-/// or live with the O(n^2 d) recomputation.
-constexpr std::size_t kAutoCacheMaxRows = 16384;
+/// Most heap score_silhouettes silently spends on a pairwise-distance
+/// cache (~1 GiB, reached around 16k rows). Larger inputs score
+/// directly, recomputing each point's distance row.
+constexpr std::size_t kCacheBudget = std::size_t{1} << 30;
 
 }  // namespace
 
@@ -40,13 +39,6 @@ KSweep sweep_k(const Matrix& points, std::size_t k_max,
   KSweep sweep;
   const std::size_t top = std::min(k_max, points.rows());
   if (top == 0) return sweep;
-
-  DistanceCache local_cache;
-  if (cache == nullptr && points.rows() >= 2 &&
-      points.rows() <= kAutoCacheMaxRows) {
-    local_cache = DistanceCache::build(points, pool);
-    cache = &local_cache;
-  }
 
   // Derive every restart's RNG stream serially, in exactly the order the
   // serial path consumes them (fresh Rng(seed) per k, split() in restart
@@ -92,13 +84,31 @@ KSweep sweep_k(const Matrix& points, std::size_t k_max,
     for (auto a : entry.result.assignments) seen[a] = true;
     entry.result.populated_clusters = static_cast<std::size_t>(
         std::count(seen.begin(), seen.end(), true));
+    sweep.entries.push_back(std::move(entry));
+  }
+  if (cache != nullptr) score_silhouettes(sweep, points, pool, cache);
+  return sweep;
+}
+
+void score_silhouettes(KSweep& sweep, const Matrix& points,
+                       util::ThreadPool* pool, const DistanceCache* cache) {
+  if (sweep.silhouettes_scored) return;
+  DistanceCache local_cache;
+  // Only entries with k >= 2 are scored, so a one-entry sweep needs no
+  // cache. bytes_required saturates on overflow, so adversarial row
+  // counts fail the budget instead of wrapping into a tiny allocation.
+  if (cache == nullptr && sweep.entries.size() >= 2 &&
+      DistanceCache::bytes_required(points.rows()) <= kCacheBudget) {
+    local_cache = DistanceCache::build(points, pool);
+    cache = &local_cache;
+  }
+  for (KSweepEntry& entry : sweep.entries) {
     entry.silhouette =
         entry.k >= 2
             ? mean_silhouette(points, entry.result.assignments, cache, pool)
             : 0.0;
-    sweep.entries.push_back(std::move(entry));
   }
-  return sweep;
+  sweep.silhouettes_scored = true;
 }
 
 std::size_t select_elbow(const KSweep& sweep) {
@@ -158,6 +168,10 @@ std::size_t select_silhouette(const KSweep& sweep) {
   const auto& es = sweep.entries;
   if (es.empty()) {
     throw std::invalid_argument("select_silhouette: empty sweep");
+  }
+  if (!sweep.silhouettes_scored) {
+    throw std::invalid_argument(
+        "select_silhouette: sweep is unscored; call score_silhouettes");
   }
   double best = 0.0;
   std::size_t besti = 0;  // k = 1 fallback

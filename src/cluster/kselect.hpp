@@ -19,34 +19,48 @@ enum class KSelection { kElbow, kSilhouette };
 struct KSweepEntry {
   std::size_t k = 0;
   KMeansResult result;
-  /// Mean silhouette of this fit (0 for k == 1 by convention).
+  /// Mean silhouette of this fit, filled in by score_silhouettes (0 for
+  /// k == 1 by convention, and 0 while the sweep is unscored).
   double silhouette = 0.0;
 };
 
 /// Results of fitting k = 1..k_max.
 struct KSweep {
   std::vector<KSweepEntry> entries;
+  /// Whether score_silhouettes has filled in every entry's silhouette.
+  /// Only the silhouette rule and the k-sweep report read them, so the
+  /// elbow path never pays for them.
+  bool silhouettes_scored = false;
 
   /// WCSS (inertia) curve indexed by position in `entries`.
   std::vector<double> inertia_curve() const;
 };
 
 /// Fits k-means for every k in [1, k_max] (k_max clamped to the number of
-/// rows). `base` supplies everything but k.
+/// rows) and records each fit's inertia. `base` supplies everything but
+/// k. Silhouettes are left unscored.
 KSweep sweep_k(const Matrix& points, std::size_t k_max,
                const KMeansConfig& base);
 
-/// Parallel sweep: fans the full (k, restart) grid out over `pool` and
-/// scores silhouettes through `cache`. Per-restart RNG streams are
-/// derived serially in the same order the serial path uses and the best
-/// restart per k is selected by strict `<` in restart order, so the
-/// result is bit-identical to the serial sweep for the same seed. When
-/// `cache` is null one is built automatically for inputs small enough
-/// that its n^2/2 buffer is cheap (see DistanceCache::bytes_required);
-/// pass an explicit cache to share it with DBSCAN or other consumers.
+/// Parallel sweep: fans the full (k, restart) grid out over `pool`.
+/// Per-restart RNG streams are derived serially in the same order the
+/// serial path uses and the best restart per k is selected by strict
+/// `<` in restart order, so the result is bit-identical to the serial
+/// sweep for the same seed. A non-null `cache` also scores the sweep's
+/// silhouettes through it (see score_silhouettes).
 KSweep sweep_k(const Matrix& points, std::size_t k_max,
                const KMeansConfig& base, util::ThreadPool* pool,
                const DistanceCache* cache = nullptr);
+
+/// Scores the mean silhouette of every k >= 2 fit in `sweep`, which must
+/// have been fitted over `points`. Without a `cache` it builds one over
+/// `points` when the condensed buffer fits its budget (~1 GiB) and
+/// scores directly otherwise; cached, direct and pooled scores are
+/// bitwise equal (see mean_silhouette). A sweep that is already scored
+/// is left as it is.
+void score_silhouettes(KSweep& sweep, const Matrix& points,
+                       util::ThreadPool* pool,
+                       const DistanceCache* cache = nullptr);
 
 /// Elbow selection: the k whose point on the (k, WCSS) curve is farthest
 /// from the chord joining the curve's endpoints (the standard geometric
@@ -57,11 +71,12 @@ std::size_t select_elbow(const KSweep& sweep);
 
 /// Silhouette selection: the k (>= 2) with maximal mean silhouette;
 /// returns index 0 (k=1) when the best silhouette is <= 0, meaning no k
-/// produced better-than-random structure.
+/// produced better-than-random structure. Throws std::invalid_argument
+/// for a sweep whose silhouettes were never scored.
 std::size_t select_silhouette(const KSweep& sweep);
 
-/// Convenience: runs the sweep and applies the chosen rule, returning the
-/// winning entry.
+/// Applies the chosen rule to the sweep, returning the winning entry.
+/// kSilhouette needs a scored sweep, like select_silhouette.
 const KSweepEntry& select_k(const KSweep& sweep, KSelection rule);
 
 }  // namespace incprof::cluster

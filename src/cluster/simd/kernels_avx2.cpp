@@ -1,4 +1,4 @@
-// AVX2 tier. Lane-per-pair: each of the 4 double lanes (8 float lanes)
+// AVX2 tier. Lane-per-pair: each of the 4 double lanes
 // owns a distinct pair and replays the kernels_ref.hpp op sequence for
 // it, so every lane's result is bitwise-identical to the scalar
 // reference. Dimension j of 4 row operands is gathered into one ymm
@@ -188,37 +188,10 @@ void avx2_cosine(const double* a, const double* const* rows,
   for (; t < count; ++t) out[t] = ref::cosine(a, rows[t], d);
 }
 
-// fp32 path: 8 float lanes per ymm. Column loads stay per-dimension
-// (_mm256_set_ps) — the add chain, not the shuffles, bounds this loop.
-void avx2_squared_euclidean_f32(const float* a, const float* const* rows,
-                                std::size_t count, std::size_t d, float* out) {
-  std::size_t t = 0;
-  for (; t + 8 <= count; t += 8) {
-    const float* r0 = rows[t];
-    const float* r1 = rows[t + 1];
-    const float* r2 = rows[t + 2];
-    const float* r3 = rows[t + 3];
-    const float* r4 = rows[t + 4];
-    const float* r5 = rows[t + 5];
-    const float* r6 = rows[t + 6];
-    const float* r7 = rows[t + 7];
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t j = 0; j < d; ++j) {
-      const __m256 col = _mm256_set_ps(r7[j], r6[j], r5[j], r4[j], r3[j],
-                                       r2[j], r1[j], r0[j]);
-      const __m256 diff = _mm256_sub_ps(_mm256_broadcast_ss(a + j), col);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
-    }
-    _mm256_storeu_ps(out + t, acc);
-  }
-  for (; t < count; ++t) out[t] = ref::squared_euclidean_f32(a, rows[t], d);
-}
-
 constexpr BatchKernels kAvx2Kernels{
     avx2_squared_euclidean,
     avx2_manhattan,
     avx2_cosine,
-    avx2_squared_euclidean_f32,
 };
 
 }  // namespace

@@ -1,5 +1,5 @@
 // NEON tier (aarch64). Same lane-per-pair contract as the AVX2 tier,
-// with 2 double lanes (4 float lanes) per vector. Separate vmul/vadd —
+// with 2 double lanes per vector. Separate vmul/vadd —
 // never vfma — plus -ffp-contract=off on this TU keep every lane's
 // reduction bitwise-identical to kernels_ref.hpp.
 #include "cluster/simd/kernels_internal.hpp"
@@ -98,33 +98,10 @@ void neon_cosine(const double* a, const double* const* rows,
   for (; t < count; ++t) out[t] = ref::cosine(a, rows[t], d);
 }
 
-void neon_squared_euclidean_f32(const float* a, const float* const* rows,
-                                std::size_t count, std::size_t d, float* out) {
-  std::size_t t = 0;
-  for (; t + 4 <= count; t += 4) {
-    const float* r0 = rows[t];
-    const float* r1 = rows[t + 1];
-    const float* r2 = rows[t + 2];
-    const float* r3 = rows[t + 3];
-    float32x4_t acc = vdupq_n_f32(0.0f);
-    for (std::size_t j = 0; j < d; ++j) {
-      float32x4_t col = vdupq_n_f32(r0[j]);
-      col = vsetq_lane_f32(r1[j], col, 1);
-      col = vsetq_lane_f32(r2[j], col, 2);
-      col = vsetq_lane_f32(r3[j], col, 3);
-      const float32x4_t diff = vsubq_f32(vdupq_n_f32(a[j]), col);
-      acc = vaddq_f32(acc, vmulq_f32(diff, diff));
-    }
-    vst1q_f32(out + t, acc);
-  }
-  for (; t < count; ++t) out[t] = ref::squared_euclidean_f32(a, rows[t], d);
-}
-
 constexpr BatchKernels kNeonKernels{
     neon_squared_euclidean,
     neon_manhattan,
     neon_cosine,
-    neon_squared_euclidean_f32,
 };
 
 }  // namespace

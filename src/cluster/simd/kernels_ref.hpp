@@ -72,17 +72,4 @@ inline double cosine(const double* a, const double* b,
   return cosine_finish(cosine_parts(a, b, n));
 }
 
-/// fp32 twin of squared_euclidean for the opt-in --fp32 distance path.
-/// Same canonical order, float precision; the fp64 kernels remain the
-/// determinism contract — fp32 divergence is explicitly gated (§6).
-inline float squared_euclidean_f32(const float* a, const float* b,
-                                   std::size_t n) noexcept {
-  float s = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float d = a[i] - b[i];
-    s += d * d;
-  }
-  return s;
-}
-
 }  // namespace incprof::cluster::simd::ref

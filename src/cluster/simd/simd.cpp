@@ -33,19 +33,10 @@ void scalar_cosine(const double* a, const double* const* rows,
   }
 }
 
-void scalar_squared_euclidean_f32(const float* a, const float* const* rows,
-                                  std::size_t count, std::size_t d,
-                                  float* out) {
-  for (std::size_t t = 0; t < count; ++t) {
-    out[t] = ref::squared_euclidean_f32(a, rows[t], d);
-  }
-}
-
 constexpr BatchKernels kScalarKernels{
     scalar_squared_euclidean,
     scalar_manhattan,
     scalar_cosine,
-    scalar_squared_euclidean_f32,
 };
 
 Tier probe_tier() noexcept {

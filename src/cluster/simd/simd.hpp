@@ -40,11 +40,6 @@ struct BatchKernels {
                     std::size_t count, std::size_t d, double* out);
   void (*cosine)(const double* a, const double* const* rows,
                  std::size_t count, std::size_t d, double* out);
-  /// fp32 twin for the opt-in --fp32 path (explicitly outside the
-  /// bitwise-vs-fp64 contract, but still bitwise across tiers).
-  void (*squared_euclidean_f32)(const float* a, const float* const* rows,
-                                std::size_t count, std::size_t d,
-                                float* out);
 };
 
 /// Best tier this host can execute (probed once, cached).

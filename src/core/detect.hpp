@@ -41,19 +41,22 @@ struct PhaseDetection {
   cluster::Matrix centroids;
   /// Interval indices per phase.
   std::vector<std::vector<std::size_t>> phase_intervals;
-  /// The full k sweep (for elbow-curve reporting and ablations).
+  /// The full k sweep (for elbow-curve reporting and ablations). Its
+  /// per-k silhouettes are scored only under the silhouette rule.
   cluster::KSweep sweep;
+  /// Index into sweep.entries of the chosen k.
+  std::size_t chosen_index = 0;
   /// Mean silhouette of the chosen clustering.
   double silhouette = 0.0;
 };
 
-/// Runs the sweep and k selection over a prepared feature space. A
-/// ThreadPool fans the sweep's (k, restart) grid out; a DistanceCache
-/// built over space.features serves silhouette scoring. Both are
-/// optional and neither changes any result bit (see cluster::sweep_k).
+/// Runs the sweep and k selection over a prepared feature space. Under
+/// the silhouette rule every k >= 2 is scored; under the elbow rule
+/// only the chosen clustering is. An optional ThreadPool fans the
+/// sweep's (k, restart) grid and the scoring out without changing any
+/// result bit (see cluster::sweep_k).
 PhaseDetection detect_phases(const FeatureSpace& space,
                              const DetectorConfig& config = {},
-                             util::ThreadPool* pool = nullptr,
-                             const cluster::DistanceCache* cache = nullptr);
+                             util::ThreadPool* pool = nullptr);
 
 }  // namespace incprof::core

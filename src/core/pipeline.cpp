@@ -1,12 +1,9 @@
 #include "core/pipeline.hpp"
 
-#include "cluster/distance_cache.hpp"
-#include "cluster/kselect.hpp"
 #include "gmon/flat_text.hpp"
 #include "gmon/scanner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
 #include <memory>
@@ -15,11 +12,6 @@
 namespace incprof::core {
 
 namespace {
-
-/// Most heap the pipeline silently spends on the pairwise-distance
-/// cache (~1 GB, reached around 16k intervals). Larger inputs fall back
-/// to recomputing distances on the fly.
-constexpr std::size_t kCacheBudget = std::size_t{1} << 30;
 
 /// Stage-latency histogram in the global registry, shared by every
 /// analysis run in the process so benches and the daemon can report
@@ -59,64 +51,32 @@ PhaseAnalysis analyze_snapshots(
 
   PhaseAnalysis a;
   {
+    std::vector<gmon::ProfileSnapshot> round_tripped;
+    if (config.text_round_trip) {
+      obs::ScopedSpan span("pipeline.text_round_trip", "analysis",
+                           &stage_hist("text_round_trip"));
+      round_tripped = round_trip_text(snapshots, config.sample_period_ns);
+    }
     obs::ScopedSpan span("pipeline.differencing", "analysis",
                          &stage_hist("differencing"));
-    if (config.text_round_trip) {
-      a.intervals = IntervalData::from_cumulative(
-          round_trip_text(snapshots, config.sample_period_ns));
-    } else {
-      a.intervals = IntervalData::from_cumulative(snapshots);
-    }
+    a.intervals = IntervalData::from_cumulative(
+        config.text_round_trip ? round_tripped : snapshots);
   }
   {
     obs::ScopedSpan span("pipeline.features", "analysis",
                          &stage_hist("features"));
     a.features = build_features(a.intervals, config.features);
   }
-  // Pool for the clustering stages (nullptr = serial engine); the
-  // distance cache is built once here and shared by every consumer of
-  // this feature space.
+  // Pool for the clustering stage (nullptr = serial engine).
   std::unique_ptr<util::ThreadPool> pool =
       util::ThreadPool::create(config.threads);
-  cluster::DistanceCache cache;
-  {
-    obs::ScopedSpan span("pipeline.distance_cache", "analysis",
-                         &stage_hist("distance_cache"));
-    const std::size_t n = a.features.features.rows();
-    // bytes_required saturates on overflow, so adversarial interval
-    // counts fail this gate instead of wrapping into a tiny allocation.
-    if (n >= 2 && cluster::DistanceCache::bytes_required(n) <= kCacheBudget) {
-      if (config.fp32_distance) {
-        cache =
-            cluster::DistanceCache::build_fp32(a.features.features, pool.get());
-        if (config.fp32_verify) {
-          const cluster::DistanceCache exact =
-              cluster::DistanceCache::build(a.features.features, pool.get());
-          a.fp32_divergence =
-              cluster::DistanceCache::max_relative_divergence(cache, exact);
-          util::log_info(
-              "fp32 distance verify: max relative divergence " +
-              std::to_string(a.fp32_divergence));
-        }
-      } else {
-        cache = cluster::DistanceCache::build(a.features.features, pool.get());
-      }
-    }
-  }
   {
     obs::ScopedSpan span("pipeline.kmeans_sweep", "analysis",
                          &stage_hist("kmeans_sweep"));
-    a.detection =
-        detect_phases(a.features, config.detector, pool.get(),
-                      cache.size() > 0 ? &cache : nullptr);
+    a.detection = detect_phases(a.features, config.detector, pool.get());
   }
   {
-    obs::ScopedSpan span("pipeline.k_select", "analysis",
-                         &stage_hist("k_select"));
-    a.chosen_sweep_index =
-        config.detector.selection == cluster::KSelection::kElbow
-            ? cluster::select_elbow(a.detection.sweep)
-            : cluster::select_silhouette(a.detection.sweep);
+    obs::ScopedSpan span("pipeline.rank", "analysis", &stage_hist("rank"));
     a.ranks = RankTable::compute(a.intervals, a.detection);
   }
   {

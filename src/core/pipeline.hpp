@@ -37,14 +37,6 @@ struct PipelineConfig {
   /// (the historical code path). Results are bit-identical at any value
   /// for the same seed; threads only change wall time.
   std::size_t threads = 0;
-  /// Opt-in fp32 distance cache (--fp32): pairwise distances are
-  /// computed in float and widened. Faster and half the cache memory,
-  /// but explicitly OUTSIDE the bitwise determinism contract — results
-  /// may differ from the fp64 engine.
-  bool fp32_distance = false;
-  /// With fp32_distance, also build the fp64 cache and report the max
-  /// relative divergence between the two (PhaseAnalysis.fp32_divergence).
-  bool fp32_verify = false;
 };
 
 /// Everything the analysis produced, kept together for reporting.
@@ -54,11 +46,6 @@ struct PhaseAnalysis {
   PhaseDetection detection;
   RankTable ranks;
   SiteSelectionResult sites;
-  /// Index into detection.sweep.entries that was chosen (for reports).
-  std::size_t chosen_sweep_index = 0;
-  /// Max relative divergence between the fp32 and fp64 distance caches
-  /// when fp32_verify ran; -1.0 when no verify was performed.
-  double fp32_divergence = -1.0;
 };
 
 /// Runs the full analysis over cumulative snapshots (ordered by seq).

@@ -121,7 +121,8 @@ std::string render_k_sweep(const cluster::KSweep& sweep,
     const auto& e = sweep.entries[i];
     t.add_row({std::to_string(e.k),
                util::format_fixed(e.result.inertia, 3),
-               util::format_fixed(e.silhouette, 3),
+               sweep.silhouettes_scored ? util::format_fixed(e.silhouette, 3)
+                                        : "-",
                i == chosen_index ? "*" : ""});
   }
   return t.render();

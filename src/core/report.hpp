@@ -35,7 +35,8 @@ std::string render_site_table(const std::string& app_name,
 std::string render_phase_summary(const SiteSelectionResult& result);
 
 /// Renders the k-selection diagnostics: the WCSS (elbow) curve and
-/// silhouette per k from a sweep.
+/// silhouette per k from a sweep ("-" when the sweep is unscored; see
+/// cluster::score_silhouettes).
 std::string render_k_sweep(const cluster::KSweep& sweep,
                            std::size_t chosen_index);
 

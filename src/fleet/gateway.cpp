@@ -428,23 +428,39 @@ std::uint32_t Gateway::drain_shard(std::uint32_t shard_id) {
     ring_.remove_shard(shard_id);
   }
   metrics_.counter("shard_drains").add();
+  std::uint32_t sessions_closed = 0;
+  control_query(connect, service::make_drain_frame(),
+                service::FrameType::kDrainAck,
+                [&](std::string_view payload) {
+                  sessions_closed =
+                      service::decode_drain_ack(payload).sessions_closed;
+                });
+  return sessions_closed;
+}
+
+bool Gateway::control_query(
+    const service::ConnectFn& connect, const std::string& request,
+    service::FrameType reply_type,
+    const std::function<void(std::string_view)>& on_reply) {
   try {
     auto conn = connect();
-    if (!conn) return 0;
+    if (!conn) return false;
     conn->set_receive_timeout(cfg_.pull_timeout);
-    if (conn->send(service::make_drain_frame())) {
+    bool ok = false;
+    if (conn->send(request)) {
       while (auto bytes = conn->receive()) {
         const auto frame = service::decode_frame(*bytes);
-        if (frame.type != service::FrameType::kDrainAck) continue;
-        const auto ack = service::decode_drain_ack(frame.payload);
-        conn->close();
-        return ack.sessions_closed;
+        if (frame.type != reply_type) continue;
+        on_reply(frame.payload);
+        ok = true;
+        break;
       }
     }
     conn->close();
+    return ok;
   } catch (const std::exception&) {
+    return false;
   }
-  return 0;
 }
 
 void Gateway::poll_once() {
@@ -455,30 +471,17 @@ void Gateway::poll_once() {
       targets.emplace_back(id, entry.connect);
     }
   }
+  service::QueryPayload query;
+  query.kind = service::QueryKind::kFleetState;
+  const std::string request = service::make_query_frame(0, query);
   for (const auto& [id, connect] : targets) {
-    bool ok = false;
     service::ShardState state;
-    try {
-      auto conn = connect();
-      if (conn) {
-        conn->set_receive_timeout(cfg_.pull_timeout);
-        service::QueryPayload query;
-        query.kind = service::QueryKind::kFleetState;
-        if (conn->send(service::make_query_frame(0, query))) {
-          while (auto bytes = conn->receive()) {
-            const auto frame = service::decode_frame(*bytes);
-            if (frame.type != service::FrameType::kQueryReply) continue;
-            const auto reply = service::decode_query_reply(frame.payload);
-            state = service::decode_shard_state(reply.text);
-            ok = true;
-            break;
-          }
-        }
-        conn->close();
-      }
-    } catch (const std::exception&) {
-      ok = false;
-    }
+    const bool ok = control_query(
+        connect, request, service::FrameType::kQueryReply,
+        [&](std::string_view payload) {
+          state = service::decode_shard_state(
+              service::decode_query_reply(payload).text);
+        });
 
     util::MutexLock lock(state_mu_);
     const auto it = shards_.find(id);
@@ -564,33 +567,20 @@ std::string Gateway::merged_trace_json() {
       targets.emplace_back(id, entry.connect);
     }
   }
+  service::QueryPayload query;
+  query.kind = service::QueryKind::kTraceDump;
+  const std::string request = service::make_query_frame(0, query);
   std::vector<ShardTrace> dumps;
   for (const auto& [id, connect] : targets) {
-    bool ok = false;
     ShardTrace st;
     st.pid = id;
     st.label = "incprofd shard " + std::to_string(id);
-    try {
-      auto conn = connect();
-      if (conn) {
-        conn->set_receive_timeout(cfg_.pull_timeout);
-        service::QueryPayload query;
-        query.kind = service::QueryKind::kTraceDump;
-        if (conn->send(service::make_query_frame(0, query))) {
-          while (auto bytes = conn->receive()) {
-            const auto frame = service::decode_frame(*bytes);
-            if (frame.type != service::FrameType::kQueryReply) continue;
-            const auto reply = service::decode_query_reply(frame.payload);
-            st.dump = service::decode_trace_dump(reply.text);
-            ok = true;
-            break;
-          }
-        }
-        conn->close();
-      }
-    } catch (const std::exception&) {
-      ok = false;
-    }
+    const bool ok = control_query(
+        connect, request, service::FrameType::kQueryReply,
+        [&](std::string_view payload) {
+          st.dump = service::decode_trace_dump(
+              service::decode_query_reply(payload).text);
+        });
     if (ok) {
       metrics_.counter("trace_pulls").add();
       dumps.push_back(std::move(st));

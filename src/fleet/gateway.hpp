@@ -42,9 +42,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -183,6 +185,14 @@ class Gateway {
       service::Connection& client, const service::HelloPayload& hello);
   /// Connects to one shard, marking it dead (ring removal) on failure.
   std::shared_ptr<service::Connection> try_connect(std::uint32_t shard_id);
+  /// Sends one control `request` frame over a fresh shard connection and
+  /// passes the payload of the first `reply_type` frame to `on_reply`
+  /// (other frames are skipped). Returns false, never throws, when the
+  /// connect, send or wait fails, or when `on_reply` throws on a
+  /// malformed reply.
+  bool control_query(const service::ConnectFn& connect,
+                     const std::string& request, service::FrameType reply_type,
+                     const std::function<void(std::string_view)>& on_reply);
   void reap_finished_workers();
 
   service::Listener& frontend_;

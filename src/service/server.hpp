@@ -7,10 +7,10 @@
 // monitoring-side endpoint for the paper's LDMS deployment story.
 #pragma once
 
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "service/fleet.hpp"
 #include "service/fleet_state.hpp"
-#include "service/metrics.hpp"
 #include "service/session.hpp"
 #include "service/transport.hpp"
 #include "util/thread_annotations.hpp"
@@ -114,8 +114,8 @@ class Server {
   const FleetAggregator& fleet() const noexcept { return fleet_; }
 
   /// Operational counters/gauges (thread-safe).
-  const MetricsRegistry& metrics() const noexcept { return metrics_; }
-  MetricsRegistry& metrics() noexcept { return metrics_; }
+  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
+  obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
   /// Phase assignments a session's tracker has produced so far; empty
   /// when the id is unknown. Deterministic once the session closed.
@@ -220,7 +220,7 @@ class Server {
   Listener& listener_;
   const ServerConfig cfg_;
   FleetAggregator fleet_;
-  MetricsRegistry metrics_;
+  obs::MetricsRegistry metrics_;
 
   // Frame-path latency histograms, resolved once (registry references
   // are stable) so the hot path never takes the registry lock.

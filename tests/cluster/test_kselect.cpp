@@ -79,7 +79,8 @@ TEST_P(SilhouetteRecoveryTest, FindsTrueClusterCount) {
   const Matrix m = blobs(true_k, 40, 30.0, true_k * 5 + 3);
   KMeansConfig base;
   base.seed = 13;
-  const KSweep sweep = sweep_k(m, 8, base);
+  KSweep sweep = sweep_k(m, 8, base);
+  score_silhouettes(sweep, m, nullptr);
   const std::size_t chosen = select_silhouette(sweep);
   EXPECT_EQ(sweep.entries[chosen].k, true_k);
 }
@@ -149,7 +150,8 @@ TEST(SelectSilhouette, NoStructureFallsBackToOne) {
   for (std::size_t r = 0; r < 30; ++r) {
     m.at(r, 0) = static_cast<double>(r);  // a perfectly even line
   }
-  const KSweep sweep = sweep_k(m, 4, {});
+  KSweep sweep = sweep_k(m, 4, {});
+  score_silhouettes(sweep, m, nullptr);
   const std::size_t chosen = select_silhouette(sweep);
   // An even line still silhouettes > 0 when chopped; accept any valid
   // index, but the call must not throw and must return within range.
@@ -160,8 +162,24 @@ TEST(SelectK, DispatchesOnRule) {
   const Matrix m = blobs(3, 30, 25.0, 21);
   KMeansConfig base;
   base.seed = 5;
-  const KSweep sweep = sweep_k(m, 8, base);
+  KSweep sweep = sweep_k(m, 8, base);
   EXPECT_EQ(select_k(sweep, KSelection::kElbow).k, 3u);
+  score_silhouettes(sweep, m, nullptr);
+  EXPECT_EQ(select_k(sweep, KSelection::kSilhouette).k, 3u);
+}
+
+TEST(SelectSilhouette, UnscoredSweepThrows) {
+  // sweep_k records inertia only; picking by silhouette must not
+  // silently fall back to k = 1 on the all-zero placeholders.
+  const Matrix m = blobs(3, 20, 25.0, 4);
+  KSweep sweep = sweep_k(m, 6, {});
+  EXPECT_FALSE(sweep.silhouettes_scored);
+  for (const auto& e : sweep.entries) EXPECT_EQ(e.silhouette, 0.0);
+  EXPECT_THROW(select_silhouette(sweep), std::invalid_argument);
+  EXPECT_THROW(select_k(sweep, KSelection::kSilhouette),
+               std::invalid_argument);
+  score_silhouettes(sweep, m, nullptr);
+  EXPECT_TRUE(sweep.silhouettes_scored);
   EXPECT_EQ(select_k(sweep, KSelection::kSilhouette).k, 3u);
 }
 

@@ -110,10 +110,12 @@ TEST(ParallelSweep, GoldenParityWithSerialSweep) {
   for (const std::uint64_t seed : {1ull, 42ull, 12345ull}) {
     KMeansConfig base;
     base.seed = seed;
-    const KSweep serial = sweep_k(m, 8, base);
+    KSweep serial = sweep_k(m, 8, base);
+    score_silhouettes(serial, m, nullptr);
     auto pool = util::ThreadPool::create(4);
     ASSERT_NE(pool, nullptr);
-    const KSweep parallel = sweep_k(m, 8, base, pool.get());
+    KSweep parallel = sweep_k(m, 8, base, pool.get());
+    score_silhouettes(parallel, m, pool.get());
     expect_sweeps_identical(serial, parallel);
     // And the selections driven by it.
     EXPECT_EQ(select_elbow(serial), select_elbow(parallel));
@@ -121,13 +123,30 @@ TEST(ParallelSweep, GoldenParityWithSerialSweep) {
   }
 }
 
-TEST(ParallelSweep, ExplicitCacheMatchesAutoCache) {
+TEST(ParallelSweep, ScoringWithOrWithoutCacheOrPoolIsBitwiseEqual) {
   const Matrix m = gaussian_blobs(2, 25, 20.0, 25);
   util::ThreadPool pool(2);
   const auto cache = DistanceCache::build(m);
-  const KSweep with_explicit = sweep_k(m, 6, {}, &pool, &cache);
-  const KSweep with_auto = sweep_k(m, 6, {}, &pool);
-  expect_sweeps_identical(with_explicit, with_auto);
+  const KSweep fitted = sweep_k(m, 6, {});
+  ASSERT_FALSE(fitted.silhouettes_scored);
+  // score_silhouettes' own cache, serial.
+  KSweep own_cache = fitted;
+  score_silhouettes(own_cache, m, nullptr);
+  // A caller's cache, pooled.
+  KSweep given_cache = fitted;
+  score_silhouettes(given_cache, m, &pool, &cache);
+  // A non-null cache handed to sweep_k scores through it.
+  const KSweep swept_with_cache = sweep_k(m, 6, {}, &pool, &cache);
+  ASSERT_TRUE(swept_with_cache.silhouettes_scored);
+  expect_sweeps_identical(own_cache, given_cache);
+  expect_sweeps_identical(own_cache, swept_with_cache);
+  // No cache at all: the direct per-point distance rows.
+  for (const KSweepEntry& e : own_cache.entries) {
+    if (e.k < 2) continue;
+    EXPECT_EQ(e.silhouette, mean_silhouette(m, e.result.assignments));
+    EXPECT_EQ(e.silhouette,
+              mean_silhouette(m, e.result.assignments, nullptr, &pool));
+  }
 }
 
 TEST(ParallelSweep, HandlesFewerRowsThanKMax) {

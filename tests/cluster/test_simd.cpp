@@ -35,7 +35,6 @@ class SimdTest : public ::testing::Test {
 };
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
 
 /// Deterministic vector of width d with hostile values sprinkled in:
 /// every 7th entry is a special (NaN, ±Inf, denormal, -0.0, huge).
@@ -126,35 +125,6 @@ TEST_F(SimdTest, AllKernelsBitwiseMatchReferenceAtEveryWidthAndCount) {
   }
 }
 
-TEST_F(SimdTest, Fp32KernelBitwiseMatchesReferenceAcrossTiers) {
-  util::Rng rng(77);
-  for (std::size_t d = 0; d <= 67; ++d) {
-    for (std::size_t count : {1u, 3u, 8u, 9u, 16u, 17u}) {
-      std::vector<float> a(d);
-      for (auto& v : a) v = static_cast<float>(rng.next_gaussian());
-      std::vector<std::vector<float>> rows(count);
-      std::vector<const float*> ptrs(count);
-      for (std::size_t t = 0; t < count; ++t) {
-        rows[t].resize(d);
-        for (auto& v : rows[t]) v = static_cast<float>(rng.next_gaussian());
-        ptrs[t] = rows[t].data();
-      }
-      for (simd::Tier tier : executable_tiers()) {
-        std::vector<float> got(count);
-        simd::kernels(tier).squared_euclidean_f32(a.data(), ptrs.data(),
-                                                  count, d, got.data());
-        for (std::size_t t = 0; t < count; ++t) {
-          const float want =
-              simd::ref::squared_euclidean_f32(a.data(), ptrs[t], d);
-          ASSERT_EQ(bits(want), bits(got[t]))
-              << "f32 tier=" << simd::tier_name(tier) << " d=" << d
-              << " count=" << count << " lane=" << t;
-        }
-      }
-    }
-  }
-}
-
 TEST_F(SimdTest, PublicKernelsMatchReferenceLoops) {
   util::Rng rng(5);
   const std::vector<double> a = hostile_vector(rng, 37);
@@ -237,8 +207,6 @@ TEST_F(SimdTest, DistanceCacheRefusesAdversarialRowCounts) {
   ASSERT_EQ(pts.rows(), n);
   const DistanceCache cache = DistanceCache::build(pts);
   EXPECT_EQ(cache.size(), 0u);
-  const DistanceCache cache32 = DistanceCache::build_fp32(pts);
-  EXPECT_EQ(cache32.size(), 0u);
 }
 
 TEST_F(SimdTest, BytesRequiredSaturatesInsteadOfWrapping) {
@@ -266,23 +234,6 @@ TEST_F(SimdTest, CheckedHelpers) {
   EXPECT_EQ(checked_pair_count(6), std::optional<std::size_t>{15});
   EXPECT_EQ(checked_pair_count(std::numeric_limits<std::size_t>::max()),
             std::nullopt);
-}
-
-TEST_F(SimdTest, Fp32CacheTracksFp64WithinTolerance) {
-  util::Rng rng(31);
-  Matrix pts(40, 12);
-  for (std::size_t r = 0; r < pts.rows(); ++r) {
-    for (std::size_t c = 0; c < pts.cols(); ++c) {
-      pts.at(r, c) = rng.next_gaussian();
-    }
-  }
-  const DistanceCache exact = DistanceCache::build(pts);
-  const DistanceCache narrow = DistanceCache::build_fp32(pts);
-  ASSERT_EQ(exact.size(), narrow.size());
-  const double div = DistanceCache::max_relative_divergence(narrow, exact);
-  EXPECT_GE(div, 0.0);
-  EXPECT_LT(div, 1e-5);  // float has ~7 significant digits
-  EXPECT_EQ(DistanceCache::max_relative_divergence(exact, exact), 0.0);
 }
 
 TEST_F(SimdTest, TierParsingAndForcing) {

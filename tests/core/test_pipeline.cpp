@@ -1,8 +1,10 @@
 #include "core/pipeline.hpp"
 
+#include "cluster/quality.hpp"
 #include "cluster/simd/simd.hpp"
 #include "gmon/binary_io.hpp"
 #include "gmon/scanner.hpp"
+#include "obs/metrics.hpp"
 #include "synthetic.hpp"
 
 #include <gtest/gtest.h>
@@ -95,7 +97,8 @@ TEST(Pipeline, ThreadCountNeverChangesTheAnswer) {
   const PhaseAnalysis b = analyze_snapshots(snaps, pooled);
   EXPECT_EQ(a.detection.num_phases, b.detection.num_phases);
   EXPECT_EQ(a.detection.assignments, b.detection.assignments);
-  EXPECT_EQ(a.chosen_sweep_index, b.chosen_sweep_index);
+  EXPECT_EQ(a.detection.chosen_index, b.detection.chosen_index);
+  EXPECT_EQ(a.detection.silhouette, b.detection.silhouette);
   ASSERT_EQ(a.detection.sweep.entries.size(),
             b.detection.sweep.entries.size());
   for (std::size_t i = 0; i < a.detection.sweep.entries.size(); ++i) {
@@ -123,7 +126,8 @@ TEST(Pipeline, SimdTierNeverChangesTheAnswer) {
   cluster::simd::set_active_tier(saved);
   EXPECT_EQ(a.detection.num_phases, b.detection.num_phases);
   EXPECT_EQ(a.detection.assignments, b.detection.assignments);
-  EXPECT_EQ(a.chosen_sweep_index, b.chosen_sweep_index);
+  EXPECT_EQ(a.detection.chosen_index, b.detection.chosen_index);
+  EXPECT_EQ(a.detection.silhouette, b.detection.silhouette);
   ASSERT_EQ(a.detection.sweep.entries.size(),
             b.detection.sweep.entries.size());
   for (std::size_t i = 0; i < a.detection.sweep.entries.size(); ++i) {
@@ -136,22 +140,56 @@ TEST(Pipeline, SimdTierNeverChangesTheAnswer) {
   }
 }
 
-TEST(Pipeline, Fp32VerifyReportsDivergence) {
-  // --fp32 is opt-in and gated out of the bitwise contract; the verify
-  // mode quantifies the gate. The analysis must still complete and the
-  // measured divergence must be tiny for well-scaled features.
+TEST(Pipeline, ElbowAnalysisScoresOnlyTheChosenClustering) {
+  // The elbow reads inertia alone: the per-k silhouettes stay unscored,
+  // so no pairwise-distance cache is built either (score_silhouettes is
+  // the only pipeline code that builds one).
+  const auto snaps = cumulative_from_intervals(three_phase_workload(18));
+  const PhaseAnalysis a = analyze_snapshots(snaps);
+  EXPECT_FALSE(a.detection.sweep.silhouettes_scored);
+  for (const auto& e : a.detection.sweep.entries) {
+    EXPECT_EQ(e.silhouette, 0.0);
+  }
+  // The chosen clustering is still scored, bit for bit.
+  EXPECT_GT(a.detection.silhouette, 0.0);
+  EXPECT_EQ(a.detection.silhouette,
+            cluster::mean_silhouette(a.features.features,
+                                     a.detection.assignments));
+  cluster::KSweep scored = a.detection.sweep;
+  cluster::score_silhouettes(scored, a.features.features, nullptr);
+  EXPECT_EQ(a.detection.silhouette,
+            scored.entries[a.detection.chosen_index].silhouette);
+}
+
+TEST(Pipeline, SilhouetteRuleScoresEverySweptK) {
   const auto snaps = cumulative_from_intervals(three_phase_workload(18));
   PipelineConfig cfg;
-  cfg.fp32_distance = true;
-  cfg.fp32_verify = true;
+  cfg.detector.selection = cluster::KSelection::kSilhouette;
   const PhaseAnalysis a = analyze_snapshots(snaps, cfg);
-  EXPECT_GE(a.fp32_divergence, 0.0);
-  EXPECT_LT(a.fp32_divergence, 1e-3);
-  EXPECT_GT(a.detection.num_phases, 0u);
-  // Without verify the field stays at its -1 sentinel.
-  PipelineConfig plain;
-  const PhaseAnalysis b = analyze_snapshots(snaps, plain);
-  EXPECT_EQ(b.fp32_divergence, -1.0);
+  ASSERT_TRUE(a.detection.sweep.silhouettes_scored);
+  EXPECT_EQ(a.detection.chosen_index,
+            cluster::select_silhouette(a.detection.sweep));
+  EXPECT_EQ(a.detection.silhouette,
+            a.detection.sweep.entries[a.detection.chosen_index].silhouette);
+  EXPECT_EQ(a.detection.num_phases, 3u);
+}
+
+TEST(Pipeline, StageHistogramsNameTheCodeTheyTime) {
+  PipelineConfig cfg;
+  cfg.text_round_trip = true;
+  (void)analyze_snapshots(
+      cumulative_from_intervals(three_phase_workload(10)), cfg);
+  std::set<std::string> stages;
+  const std::string prefix = "pipeline_stage_ns{stage=\"";
+  for (const auto& [key, snap] :
+       obs::default_registry().histogram_snapshots()) {
+    if (key.rfind(prefix, 0) != 0) continue;
+    stages.insert(key.substr(prefix.size(),
+                             key.size() - prefix.size() - 2));
+  }
+  EXPECT_EQ(stages, (std::set<std::string>{"text_round_trip", "differencing",
+                                           "features", "kmeans_sweep",
+                                           "rank", "site_selection"}));
 }
 
 TEST(Pipeline, MergeOptionCombinesSameSitePhases) {
@@ -215,8 +253,8 @@ TEST(Pipeline, AnalyzeDumpDirTextPath) {
 TEST(Pipeline, ChosenSweepIndexConsistent) {
   const auto snaps = cumulative_from_intervals(three_phase_workload(12));
   const PhaseAnalysis a = analyze_snapshots(snaps);
-  ASSERT_LT(a.chosen_sweep_index, a.detection.sweep.entries.size());
-  EXPECT_EQ(a.detection.sweep.entries[a.chosen_sweep_index].k,
+  ASSERT_LT(a.detection.chosen_index, a.detection.sweep.entries.size());
+  EXPECT_EQ(a.detection.sweep.entries[a.detection.chosen_index].k,
             a.detection.num_phases);
 }
 

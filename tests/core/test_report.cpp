@@ -130,5 +130,21 @@ TEST(KSweepReport, MarksChosenRow) {
             std::string::npos);
 }
 
+TEST(KSweepReport, SilhouetteColumnShowsWhetherSweepWasScored) {
+  cluster::KSweep sweep;
+  for (std::size_t k = 1; k <= 2; ++k) {
+    cluster::KSweepEntry e;
+    e.k = k;
+    e.result.inertia = 10.0 / static_cast<double>(k);
+    sweep.entries.push_back(std::move(e));
+  }
+  sweep.entries[1].silhouette = 0.25;
+  const std::string unscored = render_k_sweep(sweep, 1);
+  EXPECT_EQ(unscored.find("0.250"), std::string::npos);
+  EXPECT_NE(unscored.find(" - "), std::string::npos);
+  sweep.silhouettes_scored = true;
+  EXPECT_NE(render_k_sweep(sweep, 1).find("0.250"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace incprof::core

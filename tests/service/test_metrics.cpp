@@ -1,4 +1,4 @@
-#include "service/metrics.hpp"
+#include "obs/metrics.hpp"
 
 #include "util/csv.hpp"
 
@@ -9,6 +9,10 @@
 
 namespace incprof::service {
 namespace {
+
+using obs::Counter;
+using obs::Gauge;
+using obs::MetricsRegistry;
 
 TEST(Metrics, CountersAccumulate) {
   MetricsRegistry reg;

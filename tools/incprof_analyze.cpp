@@ -21,12 +21,6 @@
 //   --simd <tier>      distance-kernel tier: auto (default, best the
 //                      CPU supports), avx2, neon, or scalar; every
 //                      tier is bit-identical, only wall time changes
-//   --fp32             compute the pairwise-distance cache in float
-//                      (faster, half the memory; results may diverge
-//                      from the fp64 engine — opt-in, outside the
-//                      determinism contract)
-//   --fp32-verify      with --fp32, also build the fp64 cache and
-//                      report the max relative divergence
 //   --lift <file>      lift sites using a binary call-graph snapshot
 //   --csv <file>       also write the per-interval feature matrix as CSV
 //   --online           additionally replay the dumps through the
@@ -49,6 +43,7 @@
 #include "util/csv.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -66,7 +61,7 @@ int usage(const char* argv0) {
                "usage: %s <dump_dir> [--text] [--merge] [--silhouette] [--online] "
                "[--streaming] [--sketch-width n] "
                "[--standardize] [--threshold f] [--kmax n] [--threads n] "
-               "[--simd auto|avx2|neon|scalar] [--fp32] [--fp32-verify] "
+               "[--simd auto|avx2|neon|scalar] "
                "[--lift callgraph.bin] [--csv intervals.csv] "
                "[--quiet] [--verbose]\n",
                argv0);
@@ -159,11 +154,6 @@ int main(int argc, char** argv) {
                      cluster::simd::tier_name(cluster::simd::detected_tier()));
         return 2;
       }
-    } else if (std::strcmp(arg, "--fp32") == 0) {
-      cfg.fp32_distance = true;
-    } else if (std::strcmp(arg, "--fp32-verify") == 0) {
-      cfg.fp32_distance = true;
-      cfg.fp32_verify = true;
     } else if (std::strcmp(arg, "--lift") == 0 && i + 1 < argc) {
       lift_path = argv[++i];
     } else if (std::strcmp(arg, "--csv") == 0 && i + 1 < argc) {
@@ -204,8 +194,13 @@ int main(int argc, char** argv) {
     std::printf("%s\n\n",
                 core::diagnose_fast_phases(analysis.intervals).summary()
                     .c_str());
-    std::printf("%s\n", core::render_k_sweep(analysis.detection.sweep,
-                                             analysis.chosen_sweep_index)
+    // The report prints every k's silhouette, which the elbow rule
+    // never computes: score a copy of the sweep just for the table.
+    cluster::KSweep sweep = analysis.detection.sweep;
+    cluster::score_silhouettes(sweep, analysis.features.features,
+                               util::ThreadPool::create(cfg.threads).get());
+    std::printf("%s\n", core::render_k_sweep(sweep,
+                                             analysis.detection.chosen_index)
                             .c_str());
     std::printf("%s\n",
                 core::render_phase_summary(analysis.sites).c_str());
