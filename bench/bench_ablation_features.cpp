@@ -78,7 +78,10 @@ int main() {
           analysis.detection.assignments, reference);
       t.add_row({name, variant.label,
                  std::to_string(analysis.detection.num_phases),
-                 util::format_fixed(analysis.detection.silhouette, 3),
+                 util::format_fixed(
+                     cluster::mean_silhouette(analysis.features.features,
+                                              analysis.detection.assignments),
+                     3),
                  util::format_fixed(ari, 3),
                  std::to_string(analysis.sites.num_unique_sites())});
     }

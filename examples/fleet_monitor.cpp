@@ -2,7 +2,7 @@
 // layer exists for: several mini-apps each run under the IncProf
 // collector, and every one streams its cumulative dumps to a single
 // in-process incprofd Server over the loopback transport. The daemon
-// tracks phases per session and the fleet aggregator answers the
+// tracks phases per session and the fleet report answers the
 // operator's question: which applications are in which phase, and where
 // did behaviour just change?
 //
@@ -62,10 +62,11 @@ int main(int argc, char** argv) {
   for (auto& t : clients) t.join();
   server.stop();
 
-  std::printf("\n%s\n", server.fleet().render().c_str());
+  std::printf("\n%s\n",
+              service::render_fleet(server.shard_state()).c_str());
 
   std::printf("recent phase changes across the fleet:\n");
-  for (const auto& ev : server.fleet().transition_log()) {
+  for (const auto& ev : server.transition_log().entries()) {
     std::printf("  session %u  t=%4us  %s phase %zu\n", ev.session,
                 ev.interval, ev.new_phase ? "NEW" : "->", ev.phase);
   }

@@ -1,6 +1,7 @@
 #include "core/detect.hpp"
 
-#include "cluster/quality.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace incprof::core {
 
@@ -12,10 +13,24 @@ PhaseDetection detect_phases(const FeatureSpace& space,
   base.max_iters = config.kmeans_max_iters;
   base.seed = config.seed;
 
+  // Each span times exactly the step it names: the Lloyd grid, then
+  // (under the silhouette rule only) the per-k scoring.
+  const auto stage = [](const char* name) -> obs::Histogram& {
+    return obs::default_registry().histogram("pipeline_stage_ns",
+                                             {{"stage", name}});
+  };
   PhaseDetection det;
-  det.sweep = cluster::sweep_k(space.features, config.k_max, base, pool);
+  {
+    obs::ScopedSpan span("pipeline.kmeans_sweep", "analysis",
+                         &stage("kmeans_sweep"));
+    det.sweep = cluster::sweep_k(space.features, config.k_max, base, pool);
+  }
   if (config.selection == cluster::KSelection::kSilhouette) {
-    cluster::score_silhouettes(det.sweep, space.features, pool);
+    {
+      obs::ScopedSpan span("pipeline.silhouette", "analysis",
+                           &stage("silhouette"));
+      cluster::score_silhouettes(det.sweep, space.features, pool);
+    }
     det.chosen_index = cluster::select_silhouette(det.sweep);
   } else {
     det.chosen_index = cluster::select_elbow(det.sweep);
@@ -25,13 +40,7 @@ PhaseDetection detect_phases(const FeatureSpace& space,
   det.num_phases = chosen.k;
   det.assignments = chosen.result.assignments;
   det.centroids = chosen.result.centroids;
-  // The elbow reads no silhouette, so only the chosen clustering is
-  // scored, directly; the value is bitwise the one a scored sweep holds.
-  det.silhouette = det.sweep.silhouettes_scored
-                       ? chosen.silhouette
-                       : cluster::mean_silhouette(space.features,
-                                                  det.assignments, nullptr,
-                                                  pool);
+  det.silhouette = chosen.silhouette;  // 0.0 unless the rule scored it
 
   det.phase_intervals.assign(det.num_phases, {});
   for (std::size_t i = 0; i < det.assignments.size(); ++i) {

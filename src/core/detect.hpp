@@ -46,15 +46,17 @@ struct PhaseDetection {
   cluster::KSweep sweep;
   /// Index into sweep.entries of the chosen k.
   std::size_t chosen_index = 0;
-  /// Mean silhouette of the chosen clustering.
+  /// Mean silhouette of the chosen clustering under the silhouette
+  /// rule; 0.0 under the elbow, which reads none (callers that want it
+  /// call cluster::mean_silhouette on the assignments).
   double silhouette = 0.0;
 };
 
 /// Runs the sweep and k selection over a prepared feature space. Under
 /// the silhouette rule every k >= 2 is scored; under the elbow rule
-/// only the chosen clustering is. An optional ThreadPool fans the
-/// sweep's (k, restart) grid and the scoring out without changing any
-/// result bit (see cluster::sweep_k).
+/// none is. An optional ThreadPool fans the sweep's (k, restart) grid
+/// and the scoring out without changing any result bit (see
+/// cluster::sweep_k).
 PhaseDetection detect_phases(const FeatureSpace& space,
                              const DetectorConfig& config = {},
                              util::ThreadPool* pool = nullptr);

@@ -141,6 +141,11 @@ class OnlinePhaseTracker {
   /// Phase transitions observed so far (exact counter).
   std::size_t transitions() const noexcept { return transitions_; }
 
+  /// Phase of the latest interval (0 before the first).
+  std::size_t current_phase() const noexcept {
+    return num_intervals_ == 0 ? 0 : last_phase_;
+  }
+
   /// Members per phase slot, from the exact incremental counters — O(k),
   /// never a rescan of the history. A slot merged away reports 0 (its
   /// members were transferred to the survivor); the sum over slots is

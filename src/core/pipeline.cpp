@@ -70,11 +70,8 @@ PhaseAnalysis analyze_snapshots(
   // Pool for the clustering stage (nullptr = serial engine).
   std::unique_ptr<util::ThreadPool> pool =
       util::ThreadPool::create(config.threads);
-  {
-    obs::ScopedSpan span("pipeline.kmeans_sweep", "analysis",
-                         &stage_hist("kmeans_sweep"));
-    a.detection = detect_phases(a.features, config.detector, pool.get());
-  }
+  // detect_phases opens the kmeans_sweep and silhouette stages itself.
+  a.detection = detect_phases(a.features, config.detector, pool.get());
   {
     obs::ScopedSpan span("pipeline.rank", "analysis", &stage_hist("rank"));
     a.ranks = RankTable::compute(a.intervals, a.detection);
@@ -101,7 +98,13 @@ PhaseAnalysis analyze_dump_dir(const std::filesystem::path& dir,
     inner.text_round_trip = false;  // already through text on disk
     return analyze_snapshots(gmon::load_text_dumps(dir), inner);
   }
-  return analyze_snapshots(gmon::load_binary_dumps(dir), config);
+  std::vector<gmon::ProfileSnapshot> snapshots;
+  {
+    obs::ScopedSpan span("pipeline.load_binary_dumps", "analysis",
+                         &stage_hist("load_binary_dumps"));
+    snapshots = gmon::load_binary_dumps(dir);
+  }
+  return analyze_snapshots(snapshots, config);
 }
 
 }  // namespace incprof::core

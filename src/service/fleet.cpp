@@ -2,112 +2,32 @@
 
 #include "util/csv.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace incprof::service {
 
-FleetAggregator::FleetAggregator(std::size_t transition_log_capacity)
-    : log_capacity_(transition_log_capacity) {}
+TransitionLog::TransitionLog(std::size_t capacity) : capacity_(capacity) {}
 
-FleetSessionInfo& FleetAggregator::row(std::uint32_t id) {
-  const auto it = std::lower_bound(
-      sessions_.begin(), sessions_.end(), id,
-      [](const FleetSessionInfo& s, std::uint32_t v) { return s.id < v; });
-  if (it != sessions_.end() && it->id == id) return *it;
-  FleetSessionInfo info;
-  info.id = id;
-  return *sessions_.insert(it, std::move(info));
-}
-
-void FleetAggregator::session_opened(std::uint32_t id,
-                                     std::string client_name) {
+void TransitionLog::record(std::uint32_t session,
+                           const core::OnlineObservation& obs) {
+  if (!obs.transition && !obs.new_phase) return;
   util::MutexLock lock(mu_);
-  auto& s = row(id);
-  s.client_name = std::move(client_name);
-  s.closed = false;
+  log_.push_back({session, static_cast<std::uint32_t>(obs.interval),
+                  obs.phase, obs.new_phase});
+  if (log_.size() > capacity_) log_.pop_front();
 }
 
-void FleetAggregator::session_closed(std::uint32_t id) {
-  util::MutexLock lock(mu_);
-  row(id).closed = true;
-}
-
-void FleetAggregator::record_observation(std::uint32_t id,
-                                         const core::OnlineObservation& obs,
-                                         std::size_t total_phases) {
-  util::MutexLock lock(mu_);
-  auto& s = row(id);
-  ++s.intervals;
-  s.phases = total_phases;
-  s.current_phase = obs.phase;
-  if (obs.transition) ++s.transitions;
-  if (obs.transition || obs.new_phase) {
-    ++total_transitions_;
-    log_.push_back({id, static_cast<std::uint32_t>(obs.interval),
-                    obs.phase, obs.new_phase});
-    if (log_.size() > log_capacity_) log_.pop_front();
-  }
-}
-
-void FleetAggregator::record_heartbeats(std::uint32_t id, std::uint64_t n) {
-  util::MutexLock lock(mu_);
-  row(id).heartbeat_records += n;
-}
-
-void FleetAggregator::record_drops(std::uint32_t id,
-                                   std::uint64_t dropped_total) {
-  util::MutexLock lock(mu_);
-  row(id).dropped_frames = dropped_total;
-}
-
-std::vector<FleetSessionInfo> FleetAggregator::sessions() const {
-  util::MutexLock lock(mu_);
-  return sessions_;
-}
-
-std::vector<FleetTransition> FleetAggregator::transition_log() const {
+std::vector<FleetTransition> TransitionLog::entries() const {
   util::MutexLock lock(mu_);
   return {log_.begin(), log_.end()};
 }
 
-std::vector<std::size_t> FleetAggregator::phase_count_histogram() const {
-  util::MutexLock lock(mu_);
-  std::vector<std::size_t> hist;
-  for (const auto& s : sessions_) {
-    if (s.phases >= hist.size()) hist.resize(s.phases + 1, 0);
-    ++hist[s.phases];
-  }
-  return hist;
-}
-
-std::size_t FleetAggregator::open_sessions() const {
-  util::MutexLock lock(mu_);
-  return static_cast<std::size_t>(
-      std::count_if(sessions_.begin(), sessions_.end(),
-                    [](const FleetSessionInfo& s) { return !s.closed; }));
-}
-
-std::size_t FleetAggregator::total_intervals() const {
-  util::MutexLock lock(mu_);
-  std::size_t total = 0;
-  for (const auto& s : sessions_) total += s.intervals;
-  return total;
-}
-
-std::uint64_t FleetAggregator::total_transitions() const {
-  util::MutexLock lock(mu_);
-  return total_transitions_;
-}
-
-std::string FleetAggregator::render() const {
-  util::MutexLock lock(mu_);
+std::string render_fleet(const ShardState& state) {
   std::ostringstream os;
-  os << "fleet: " << sessions_.size() << " sessions ("
-     << std::count_if(sessions_.begin(), sessions_.end(),
-                      [](const FleetSessionInfo& s) { return !s.closed; })
-     << " open), " << total_transitions_ << " phase events\n";
-  for (const auto& s : sessions_) {
+  os << "fleet: " << state.sessions.size() << " sessions ("
+     << state.open_sessions << " open), " << state.total_transitions
+     << " phase events\n";
+  for (const auto& s : state.sessions) {
     os << "  #" << s.id << " " << (s.client_name.empty() ? "?" : s.client_name)
        << (s.closed ? " [closed]" : "") << ": " << s.intervals
        << " intervals, " << s.phases << " phases, in phase "
@@ -118,26 +38,21 @@ std::string FleetAggregator::render() const {
     if (s.dropped_frames > 0) os << ", " << s.dropped_frames << " dropped";
     os << "\n";
   }
-  std::vector<std::size_t> hist;
-  for (const auto& s : sessions_) {
-    if (s.phases >= hist.size()) hist.resize(s.phases + 1, 0);
-    ++hist[s.phases];
-  }
   os << "  phase-count histogram:";
-  for (std::size_t k = 0; k < hist.size(); ++k) {
-    if (hist[k] > 0) {
-      os << " " << k << "p x" << hist[k];
+  for (std::size_t k = 0; k < state.phase_count_histogram.size(); ++k) {
+    if (state.phase_count_histogram[k] > 0) {
+      os << " " << k << "p x" << state.phase_count_histogram[k];
     }
   }
   os << "\n";
   return os.str();
 }
 
-void FleetAggregator::write_csv(std::ostream& os) const {
+void write_fleet_csv(const ShardState& state, std::ostream& os) {
   util::CsvWriter w(os);
   w.row({"session", "client", "intervals", "phases", "current_phase",
          "transitions", "heartbeat_records", "dropped_frames", "closed"});
-  for (const auto& s : sessions()) {
+  for (const auto& s : state.sessions) {
     w.row_of(s.id, s.client_name, s.intervals, s.phases, s.current_phase,
              s.transitions, s.heartbeat_records, s.dropped_frames,
              s.closed ? 1 : 0);

@@ -1,12 +1,13 @@
-// Fleet view — the cross-session aggregate a deployment monitor reads.
-// Each session runs its own OnlinePhaseTracker; the aggregator folds
-// their observations into per-session status rows, a bounded transition
-// log (the events Nickolayev-style real-time monitors alarm on), and a
-// histogram of discovered-phase counts across the fleet — "is every
-// replica of this app seeing the same number of behaviours?".
+// Fleet view — the cross-session report a deployment monitor reads,
+// rendered from a shard's ShardState (per-session rows derived from the
+// trackers, plus a histogram of discovered-phase counts across the
+// fleet — "is every replica of this app seeing the same number of
+// behaviours?"), and the bounded transition log of phase-change events
+// (the events Nickolayev-style real-time monitors alarm on).
 #pragma once
 
 #include "core/online.hpp"
+#include "service/fleet_state.hpp"
 #include "util/thread_annotations.hpp"
 
 #include <cstdint>
@@ -17,19 +18,6 @@
 
 namespace incprof::service {
 
-/// One session's row in the fleet report.
-struct FleetSessionInfo {
-  std::uint32_t id = 0;
-  std::string client_name;
-  std::size_t intervals = 0;
-  std::size_t phases = 0;
-  std::size_t current_phase = 0;
-  std::size_t transitions = 0;
-  std::uint64_t heartbeat_records = 0;
-  std::uint64_t dropped_frames = 0;
-  bool closed = false;
-};
-
 /// One logged phase-change event.
 struct FleetTransition {
   std::uint32_t session = 0;
@@ -38,60 +26,32 @@ struct FleetTransition {
   bool new_phase = false;
 };
 
-/// Thread-safe cross-session aggregate. Sessions report through the
-/// record_* methods; readers take consistent snapshots.
-class FleetAggregator {
+/// Thread-safe bounded tail of the fleet's phase-change events.
+class TransitionLog {
  public:
-  /// `transition_log_capacity` bounds the retained event tail; older
-  /// events are discarded (their count survives in total_transitions).
-  explicit FleetAggregator(std::size_t transition_log_capacity = 1024);
+  /// `capacity` bounds the retained tail; older events are discarded
+  /// (the fleet's event count lives in the trackers, see ShardState).
+  explicit TransitionLog(std::size_t capacity = 1024);
 
-  void session_opened(std::uint32_t id, std::string client_name);
-  void session_closed(std::uint32_t id);
+  /// Logs the observation when it opened a phase or changed phase.
+  void record(std::uint32_t session, const core::OnlineObservation& obs);
 
-  /// Folds one tracker observation in. `total_phases` is the session
-  /// tracker's phase count after the observation.
-  void record_observation(std::uint32_t id,
-                          const core::OnlineObservation& obs,
-                          std::size_t total_phases);
-
-  /// Adds `n` heartbeat records to the session's tally.
-  void record_heartbeats(std::uint32_t id, std::uint64_t n);
-
-  /// Overwrites the session's dropped-frame total (monotone, reported
-  /// by the session queue).
-  void record_drops(std::uint32_t id, std::uint64_t dropped_total);
-
-  /// Per-session rows, ordered by session id.
-  std::vector<FleetSessionInfo> sessions() const;
-
-  /// The retained tail of phase-change events, oldest first.
-  std::vector<FleetTransition> transition_log() const;
-
-  /// histogram[k] = number of sessions whose tracker holds k phases.
-  std::vector<std::size_t> phase_count_histogram() const;
-
-  std::size_t open_sessions() const;
-  std::size_t total_intervals() const;
-  std::uint64_t total_transitions() const;
-
-  /// Human-readable fleet report (the daemon's periodic printout).
-  std::string render() const;
-
-  /// One CSV row per session: id,client,intervals,phases,current_phase,
-  /// transitions,heartbeats,dropped,closed.
-  void write_csv(std::ostream& os) const;
+  /// The retained tail, oldest first.
+  std::vector<FleetTransition> entries() const;
 
  private:
-  FleetSessionInfo& row(std::uint32_t id) INCPROF_REQUIRES(mu_);
-
-  const std::size_t log_capacity_;
+  const std::size_t capacity_;
   // mu_ is a leaf lock: nothing else is acquired while it is held.
   mutable util::Mutex mu_;
-  std::vector<FleetSessionInfo> sessions_
-      INCPROF_GUARDED_BY(mu_);  // ordered by id
   std::deque<FleetTransition> log_ INCPROF_GUARDED_BY(mu_);
-  std::uint64_t total_transitions_ INCPROF_GUARDED_BY(mu_) = 0;
 };
+
+/// Human-readable fleet report (the daemon's periodic printout and the
+/// kFleetSummary reply).
+std::string render_fleet(const ShardState& state);
+
+/// One CSV row per session: id,client,intervals,phases,current_phase,
+/// transitions,heartbeats,dropped,closed.
+void write_fleet_csv(const ShardState& state, std::ostream& os);
 
 }  // namespace incprof::service

@@ -65,18 +65,23 @@ std::size_t token_offset(std::string_view line, std::size_t n) {
 }  // namespace
 
 ShardState capture_shard_state(std::uint32_t shard_id, bool draining,
-                               const FleetAggregator& fleet,
+                               std::vector<FleetSessionInfo> sessions,
                                const obs::MetricsRegistry& metrics) {
   ShardState s;
   s.shard_id = shard_id;
   s.draining = draining;
-  s.open_sessions = fleet.open_sessions();
-  s.total_intervals = fleet.total_intervals();
-  s.total_transitions = fleet.total_transitions();
-  s.sessions = fleet.sessions();
-  for (std::size_t n : fleet.phase_count_histogram()) {
-    s.phase_count_histogram.push_back(n);
+  for (const auto& row : sessions) {
+    if (!row.closed) ++s.open_sessions;
+    s.total_intervals += row.intervals;
+    // A session's first interval opens its first phase; every later
+    // phase event is a transition.
+    s.total_transitions += row.transitions + (row.intervals > 0 ? 1 : 0);
+    if (row.phases >= s.phase_count_histogram.size()) {
+      s.phase_count_histogram.resize(row.phases + 1, 0);
+    }
+    ++s.phase_count_histogram[row.phases];
   }
+  s.sessions = std::move(sessions);
   for (const auto& sample : metrics.samples()) {
     if (!key_is_token(sample.name)) continue;
     if (sample.kind == "counter") {

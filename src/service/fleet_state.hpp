@@ -1,5 +1,5 @@
 // Shard-state snapshot: the machine-readable answer to a kFleetState
-// control query. A shard serializes its FleetAggregator rows plus its
+// control query. A shard serializes its per-session rows plus its
 // metrics registry (counters, gauges, histogram buckets); the gateway
 // decodes one ShardState per shard and merges them into the fleet view.
 // Everything in here is mergeable by construction — counts add, gauges
@@ -17,7 +17,6 @@
 
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
-#include "service/fleet.hpp"
 
 #include <cstdint>
 #include <string>
@@ -27,6 +26,19 @@
 
 namespace incprof::service {
 
+/// One session's row in the fleet report.
+struct FleetSessionInfo {
+  std::uint32_t id = 0;
+  std::string client_name;
+  std::size_t intervals = 0;
+  std::size_t phases = 0;
+  std::size_t current_phase = 0;
+  std::size_t transitions = 0;
+  std::uint64_t heartbeat_records = 0;
+  std::uint64_t dropped_frames = 0;
+  bool closed = false;
+};
+
 /// One shard's full observable state at a point in time.
 struct ShardState {
   std::uint32_t shard_id = 0;
@@ -34,6 +46,7 @@ struct ShardState {
   bool draining = false;
   std::uint64_t open_sessions = 0;
   std::uint64_t total_intervals = 0;
+  /// Phase events: every transition plus each session's first phase.
   std::uint64_t total_transitions = 0;
   std::vector<FleetSessionInfo> sessions;
   /// histogram[k] = sessions whose tracker holds k phases.
@@ -43,9 +56,10 @@ struct ShardState {
   std::vector<std::pair<std::string, obs::HistogramSnapshot>> histograms;
 };
 
-/// Builds a ShardState from a shard's live aggregator and registry.
+/// Builds a ShardState from a shard's session rows (ordered by id) and
+/// registry; the totals and the phase histogram are derived from the rows.
 ShardState capture_shard_state(std::uint32_t shard_id, bool draining,
-                               const FleetAggregator& fleet,
+                               std::vector<FleetSessionInfo> sessions,
                                const obs::MetricsRegistry& metrics);
 
 /// Serializes to the v1 text format.

@@ -216,7 +216,7 @@ enum class QueryKind : std::uint16_t {
   /// The whole-fleet report the daemon would print.
   kFleetSummary = 2,
   /// Machine-readable shard state (the fleet_state text codec): the
-  /// FleetAggregator's rows plus the metrics registry's counters,
+  /// per-session rows plus the metrics registry's counters,
   /// gauges, and histogram buckets — everything a gateway needs to
   /// merge shards. Valid before any hello (control plane).
   kFleetState = 3,

@@ -55,13 +55,19 @@ std::string trace_tag(const Session& session) {
 Server::Server(Listener& listener, ServerConfig cfg)
     : listener_(listener),
       cfg_(cfg),
-      fleet_(cfg.transition_log_capacity),
+      log_(cfg.transition_log_capacity),
       decode_hist_(metrics_.histogram("frame_stage_ns",
                                       {{"stage", "decode"}})),
       enqueue_hist_(metrics_.histogram("frame_stage_ns",
                                        {{"stage", "enqueue"}})),
       process_hist_(metrics_.histogram("frame_stage_ns",
-                                       {{"stage", "process"}})) {
+                                       {{"stage", "process"}})),
+      frames_received_(metrics_.counter("frames_received")),
+      frames_dropped_(metrics_.counter("frames_dropped")),
+      snapshots_observed_(metrics_.counter("snapshots_observed")),
+      phase_events_sent_(metrics_.counter("phase_events_sent")),
+      heartbeat_records_(metrics_.counter("heartbeat_records")),
+      max_queue_depth_(metrics_.gauge("max_queue_depth")) {
   next_session_id_.store(first_session_id_for_shard(cfg_.shard_id),
                          std::memory_order_relaxed);
 }
@@ -92,37 +98,37 @@ void Server::stop() {
   }
   if (reaper_thread_.joinable()) reaper_thread_.join();
 
-  // No new handlers can appear now; close every connection so readers
-  // unblock, synthesize their byes, and exit. Shutdown overrides any
-  // resume grace: readers see expired and end their sessions outright.
+  // No new connections can appear now. Shutdown overrides any resume
+  // grace: every session is expired, so its reader ends it outright;
+  // then every connection is closed so readers unblock, synthesize
+  // their byes, and exit.
+  for (const auto& session : all_sessions()) session->expire();
   std::vector<std::shared_ptr<Handler>> handlers;
   {
     util::MutexLock lock(handlers_mu_);
-    handlers = handlers_;
+    handlers.swap(handlers_);
   }
-  for (const auto& h : handlers) {
-    h->expired.store(true, std::memory_order_relaxed);
-    h->connection()->close();
-  }
+  for (const auto& h : handlers) h->conn->close();
   for (const auto& h : handlers) {
     if (h->reader.joinable()) h->reader.join();
   }
 
-  // A session detached before shutdown has no reader left to end it;
-  // synthesize its bye here so the drain below closes it too. The
-  // claim (reattach after seeing detached) stays under handlers_mu_ so
-  // it cannot race the reaper's own claim.
-  for (const auto& h : handlers) {
-    bool claim = false;
-    {
-      util::MutexLock lock(handlers_mu_);
-      const auto session = h->session();
-      if (session && session->detached()) {
+  // A session detached before shutdown (or by a hello that raced the
+  // expiry above) has no reader left to end it; synthesize its bye here
+  // so the drain below closes it too.
+  std::vector<std::shared_ptr<Session>> orphaned;
+  {
+    util::MutexLock lock(sessions_mu_);
+    for (const auto& [id, session] : sessions_) {
+      if (session->detached()) {
         session->reattach();
-        claim = true;
+        orphaned.push_back(session);
       }
     }
-    if (claim) end_abandoned_session(h);
+  }
+  for (const auto& session : orphaned) {
+    session->expire();
+    end_abandoned_session(session);
   }
 
   // Everything enqueued is final; drain it before releasing the pool so
@@ -141,13 +147,14 @@ void Server::stop() {
 }
 
 void Server::accept_loop() {
-  while (auto conn = listener_.accept()) {
+  while (auto accepted = listener_.accept()) {
     metrics_.counter("connections_accepted").add();
+    reap_retired_handlers();
     if (cfg_.read_timeout.count() > 0) {
-      conn->set_receive_timeout(cfg_.read_timeout);
+      accepted->set_receive_timeout(cfg_.read_timeout);
     }
-    auto handler = std::make_shared<Handler>();
-    handler->rebind(std::shared_ptr<Connection>(std::move(conn)));
+    auto handler = std::make_shared<Handler>(
+        std::shared_ptr<Connection>(std::move(accepted)));
     handler->last_activity_ns.store(obs::now_ns(),
                                     std::memory_order_relaxed);
     // Register and spawn under the same lock so stop() never sees a
@@ -159,25 +166,37 @@ void Server::accept_loop() {
   }
 }
 
+void Server::reap_retired_handlers() {
+  std::vector<std::shared_ptr<Handler>> retired;
+  {
+    util::MutexLock lock(handlers_mu_);
+    const auto live = std::partition(
+        handlers_.begin(), handlers_.end(), [](const auto& h) {
+          return !h->retired.load(std::memory_order_acquire);
+        });
+    retired.assign(std::make_move_iterator(live),
+                   std::make_move_iterator(handlers_.end()));
+    handlers_.erase(live, handlers_.end());
+  }
+  for (const auto& h : retired) h->reader.join();
+}
+
 void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
-  // This handler's connection is fixed for the reader's lifetime: a
-  // resume rebinds *other* handlers (whose readers already exited) to
-  // the resuming connection, never a live reader's own.
-  const std::shared_ptr<Connection> conn = handler->connection();
-  // The reader is the only thread that binds this handler's session;
-  // the local copy avoids re-taking the handler lock per frame.
+  Connection& conn = *handler->conn;
+  // Bound at hello (or resume) and fixed for the reader's lifetime: a
+  // session's reader is the one on the connection it is attached to.
   std::shared_ptr<Session> session;
   bool saw_bye = false;
   for (;;) {
     std::optional<std::string> bytes;
     try {
-      bytes = conn->receive();
+      bytes = conn.receive();
     } catch (const std::exception& e) {
       // Peer vanished mid-frame: the byte stream is desynchronized and
       // cannot be resynchronized, so the connection is done — but the
       // session may still be resumable.
       metrics_.counter("protocol_errors").add();
-      log_disconnect(handler, "mid_frame", e.what());
+      log_disconnect(&conn, session.get(), "mid_frame", e.what());
       break;
     }
     if (!bytes) break;  // EOF, reset, deadline, or forced close
@@ -198,7 +217,7 @@ void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
     } catch (const std::exception& e) {
       // The transport delivered a delimited frame whose content is
       // garbage; framing survives, so this is recoverable — budget it.
-      if (reject_frame(handler, ProtocolErrorCode::kMalformedFrame,
+      if (reject_frame(conn, session.get(), ProtocolErrorCode::kMalformedFrame,
                        e.what(), *bytes)) {
         break;
       }
@@ -215,27 +234,19 @@ void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
         try {
           query = decode_query(frame.payload);
         } catch (const std::exception& e) {
-          reject_frame(handler, ProtocolErrorCode::kMalformedFrame,
+          reject_frame(conn, nullptr, ProtocolErrorCode::kMalformedFrame,
                        e.what(), *bytes);
           break;
         }
         if (query.kind == QueryKind::kSessionStatus) {
-          reject_frame(handler, ProtocolErrorCode::kUnexpectedFrame,
+          reject_frame(conn, nullptr, ProtocolErrorCode::kUnexpectedFrame,
                        "session-status query before hello");
           break;
         }
         QueryReplyPayload reply;
         reply.kind = query.kind;
-        if (query.kind == QueryKind::kFleetState) {
-          reply.text = encode_shard_state(shard_state());
-        } else if (query.kind == QueryKind::kTraceDump) {
-          reply.text =
-              encode_trace_dump(capture_trace_dump(cfg_.shard_id,
-                                                   obs::trace()));
-        } else {
-          reply.text = fleet_.render();
-        }
-        if (conn->send(make_query_reply_frame(0, reply))) {
+        reply.text = answer_query(query.kind, nullptr);
+        if (conn.send(make_query_reply_frame(0, reply))) {
           metrics_.counter("control_queries").add();
         }
         continue;
@@ -243,12 +254,12 @@ void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
       if (frame.type == FrameType::kDrain) {
         DrainAckPayload ack;
         ack.sessions_closed = begin_drain();
-        conn->send(make_drain_ack_frame(ack));
+        conn.send(make_drain_ack_frame(ack));
         continue;
       }
       if (frame.type != FrameType::kHello) {
         // Unauthenticated peers get no budget: typed error, then out.
-        reject_frame(handler, ProtocolErrorCode::kUnexpectedFrame,
+        reject_frame(conn, nullptr, ProtocolErrorCode::kUnexpectedFrame,
                      "expected hello");
         break;
       }
@@ -256,7 +267,7 @@ void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
       try {
         hello = decode_hello(frame.payload);
       } catch (const std::exception& e) {
-        reject_frame(handler, ProtocolErrorCode::kMalformedFrame,
+        reject_frame(conn, nullptr, ProtocolErrorCode::kMalformedFrame,
                      e.what(), *bytes);
         break;
       }
@@ -269,41 +280,44 @@ void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
         ProtocolErrorPayload err;
         err.code = ProtocolErrorCode::kRedirect;
         err.message = "shard draining; reconnect";
-        conn->send(make_protocol_error_frame(0, err));
-        conn->close();
+        conn.send(make_protocol_error_frame(0, err));
+        conn.close();
         break;
       }
       if (hello.resume_session_id != 0) {
-        if (!resume_session(handler, hello)) break;
-        session = handler->session();
+        session = resume_session(handler->conn, hello);
+        if (!session) break;
         continue;
       }
       const std::uint32_t id = next_session_id_.fetch_add(1);
       session = std::make_shared<Session>(id, cfg_.session);
       session->open(hello.client_name,
-                    hello.subscribe_events && cfg_.send_phase_events,
-                    hello.interval_ns);
+                    hello.subscribe_events && cfg_.send_phase_events);
       session->note_trace_id(frame.trace_id);
-      handler->bind_session(session);
-      fleet_.session_opened(id, hello.client_name);
+      session->attach(handler->conn);
+      {
+        util::MutexLock lock(sessions_mu_);
+        sessions_.emplace(id, session);
+      }
       metrics_.counter("sessions_opened").add();
       metrics_.gauge("active_sessions").add(1);
       HelloAckPayload ack;
       ack.session_id = id;
-      conn->send(make_hello_ack_frame(id, ack));
+      conn.send(make_hello_ack_frame(id, ack));
       continue;
     }
 
     if (frame.type == FrameType::kHello) {
-      if (reject_frame(handler, ProtocolErrorCode::kUnexpectedFrame,
-                       "duplicate hello", *bytes)) {
+      if (reject_frame(conn, session.get(),
+                       ProtocolErrorCode::kUnexpectedFrame, "duplicate hello",
+                       *bytes)) {
         break;
       }
       continue;
     }
 
     const bool is_bye = frame.type == FrameType::kBye;
-    metrics_.counter("frames_received").add();
+    frames_received_.add();
     session->note_trace_id(frame.trace_id);
     Session::EnqueueResult result;
     {
@@ -311,10 +325,9 @@ void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
       result = session->enqueue(std::move(frame), /*force=*/is_bye);
     }
     if (result == Session::EnqueueResult::kDropped) {
-      metrics_.counter("frames_dropped").add();
-      fleet_.record_drops(session->id(), session->dropped_frames());
+      frames_dropped_.add();
     } else if (result == Session::EnqueueResult::kScheduled) {
-      schedule(handler);
+      schedule(session);
     }
     if (is_bye) {
       saw_bye = true;
@@ -322,30 +335,27 @@ void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
     }
   }
 
-  if (session && !saw_bye) end_abandoned_session(handler);
+  if (session && !saw_bye) end_abandoned_session(session);
   // Without a bye there is nothing left to deliver, so close this
   // reader's own connection: after an EOF or error that is a no-op, but
   // after a read-deadline lapse (or a bye the network swallowed) the
   // peer is still live and must learn the server is done, or it would
   // block in its drain forever. After a real bye the worker still owes
   // the client its queued events and query reply, and closes once the
-  // session drains. A resumed session has already rebound its handlers
-  // to the new connection, so this never touches a live successor.
-  if (!saw_bye) conn->close();
+  // session drains.
+  if (!saw_bye) conn.close();
   handler->retired.store(true, std::memory_order_release);
 }
 
-void Server::end_abandoned_session(
-    const std::shared_ptr<Handler>& handler) {
-  const auto session = handler->session();
+void Server::end_abandoned_session(const std::shared_ptr<Session>& session) {
   if (session->closed()) return;
-  if (cfg_.resume_grace.count() > 0 &&
-      !handler->expired.load(std::memory_order_relaxed)) {
+  if (cfg_.resume_grace.count() > 0 && !session->expired()) {
     // Leave the session waiting for its client to reconnect; the
     // reaper ends it if the grace window lapses first.
     session->detach(obs::now_ns());
     metrics_.counter("sessions_detached").add();
-    log_disconnect(handler, "detached", "awaiting resume");
+    log_disconnect(session->connection().get(), session.get(), "detached",
+                   "awaiting resume");
     return;
   }
   // Close the session as if a bye had arrived.
@@ -354,23 +364,22 @@ void Server::end_abandoned_session(
   bye.session = session->id();
   if (session->enqueue(std::move(bye), /*force=*/true) ==
       Session::EnqueueResult::kScheduled) {
-    schedule(handler);
+    schedule(session);
   }
 }
 
-bool Server::reject_frame(const std::shared_ptr<Handler>& handler,
-                          ProtocolErrorCode code,
-                          const std::string& reason,
+bool Server::reject_frame(Connection& conn, Session* session,
+                          ProtocolErrorCode code, const std::string& reason,
                           std::string_view frame_bytes) {
   metrics_.counter("frames_rejected").add();
   metrics_.counter("protocol_errors").add();
-  const auto conn = handler->connection();
-  const auto session = handler->session();
-  std::uint32_t errors = 0;
-  std::uint32_t budget = cfg_.protocol_error_budget;
+  // No hello, no credit: a sessionless peer is out on its first error.
+  std::uint32_t errors = 1;
+  std::uint32_t budget = 0;
   std::uint32_t session_id = 0;
   if (session) {
     errors = session->note_protocol_error();
+    budget = cfg_.protocol_error_budget;
     session_id = session->id();
     // The offending bytes go into the flight recorder, not the log: a
     // postmortem must show the evidence, a log line must stay short.
@@ -382,9 +391,6 @@ bool Server::reject_frame(const std::shared_ptr<Handler>& handler,
     session->flight_recorder().record(
         FlightEventKind::kProtocolError, obs::now_ns(), errors,
         static_cast<std::uint64_t>(code), std::move(detail));
-  } else {
-    errors = ++handler->pre_hello_errors;
-    budget = 0;  // no hello, no credit
   }
   const bool quarantine = errors > budget;
 
@@ -394,28 +400,35 @@ bool Server::reject_frame(const std::shared_ptr<Handler>& handler,
   err.errors = errors;
   err.budget = budget;
   err.message = reason;
-  conn->send(make_protocol_error_frame(session_id, err));
+  conn.send(make_protocol_error_frame(session_id, err));
   if (!quarantine) return false;
 
   obs::ScopedSpan span("session.quarantine", "service");
-  handler->expired.store(true, std::memory_order_relaxed);
   if (session) {
+    session->expire();
     session->flight_recorder().record(FlightEventKind::kQuarantine,
                                       obs::now_ns(), errors, budget,
                                       reason);
     metrics_.counter("sessions_quarantined").add();
     util::log_warn("incprofd: session " + std::to_string(session_id) +
-                   " (" + conn->description() + ") quarantined after " +
+                   " (" + conn.description() + ") quarantined after " +
                    std::to_string(errors) + " protocol errors" +
                    trace_tag(*session) + ": " + reason);
     write_postmortem(*session, "quarantine");
   } else {
-    util::log_warn("incprofd: connection " + conn->description() +
+    util::log_warn("incprofd: connection " + conn.description() +
                    " rejected before hello: " + reason);
   }
   metrics_.counter("disconnects", {{"cause", "quarantine"}}).add();
-  conn->close();
+  conn.close();
   return true;
+}
+
+void Server::reject_session_frame(Session& session, ProtocolErrorCode code,
+                                  const std::string& reason) {
+  if (const auto conn = session.connection()) {
+    reject_frame(*conn, &session, code, reason);
+  }
 }
 
 void Server::write_postmortem(const Session& session,
@@ -436,32 +449,20 @@ void Server::write_postmortem(const Session& session,
                  " postmortem written to " + path);
 }
 
-bool Server::resume_session(const std::shared_ptr<Handler>& handler,
-                            const HelloPayload& hello) {
-  const auto conn = handler->connection();
+std::shared_ptr<Session> Server::resume_session(
+    const std::shared_ptr<Connection>& conn, const HelloPayload& hello) {
   std::shared_ptr<Session> session;
-  std::vector<std::shared_ptr<Handler>> stale;
-  // A draining shard refuses resumes too (the scan below is skipped, so
-  // the reply is kUnknownSession): the client's resilient replay then
+  // A draining shard refuses resumes too (the lookup is skipped, so the
+  // reply is kUnknownSession): the client's resilient replay then
   // restarts the stream as a fresh session, which routing places on a
   // serving shard — the migration path, losing no intervals.
   if (!draining_.load(std::memory_order_relaxed)) {
-    util::MutexLock lock(handlers_mu_);
-    for (const auto& h : handlers_) {
-      if (h.get() == handler.get()) continue;
-      const auto candidate = h->session();
-      if (!candidate || candidate->id() != hello.resume_session_id) {
-        continue;
-      }
-      session = candidate;
-      stale.push_back(h);
-    }
-    // The detached flag is only flipped under handlers_mu_, so the
-    // reaper and a racing resume cannot both claim the session.
-    if (session && session->detached() && !session->closed()) {
+    util::MutexLock lock(sessions_mu_);
+    const auto it = sessions_.find(hello.resume_session_id);
+    if (it != sessions_.end() && it->second->detached() &&
+        !it->second->closed()) {
+      session = it->second;
       session->reattach();
-    } else {
-      session = nullptr;
     }
   }
   if (!session) {
@@ -475,18 +476,15 @@ bool Server::resume_session(const std::shared_ptr<Handler>& handler,
                   std::to_string(hello.resume_session_id);
     conn->send(make_protocol_error_frame(hello.resume_session_id, err));
     conn->close();
-    return false;
+    return nullptr;
   }
 
   obs::ScopedSpan span("session.resume", "service");
-  // Point every stale handler for this session at the live connection:
-  // a queued worker round pushing phase events through an old handler
-  // must not write into the dead socket.
-  for (const auto& h : stale) h->rebind(conn);
-  handler->bind_session(session);
+  // From here on the worker sends through the live connection, so a
+  // queued round still pushing phase events lands on the new socket.
+  session->attach(conn);
   session->open(hello.client_name,
-                hello.subscribe_events && cfg_.send_phase_events,
-                hello.interval_ns);
+                hello.subscribe_events && cfg_.send_phase_events);
   session->flight_recorder().record(FlightEventKind::kResume,
                                     obs::now_ns(),
                                     session->snapshots_accepted(), 0,
@@ -500,7 +498,7 @@ bool Server::resume_session(const std::shared_ptr<Handler>& handler,
   ack.session_id = session->id();
   ack.resume_next_interval = session->snapshots_accepted();
   conn->send(make_hello_ack_frame(session->id(), ack));
-  return true;
+  return session;
 }
 
 std::uint32_t Server::begin_drain() {
@@ -515,32 +513,29 @@ std::uint32_t Server::begin_drain() {
                    " draining");
   }
 
-  std::vector<std::shared_ptr<Handler>> attached;
-  std::vector<std::shared_ptr<Handler>> orphaned;  // detached sessions
+  std::vector<std::shared_ptr<Session>> attached;
+  std::vector<std::shared_ptr<Session>> orphaned;  // detached sessions
   {
-    util::MutexLock lock(handlers_mu_);
-    for (const auto& h : handlers_) {
-      const auto session = h->session();
-      if (!session || session->closed()) continue;
+    util::MutexLock lock(sessions_mu_);
+    for (const auto& [id, session] : sessions_) {
+      if (session->closed()) continue;
       if (session->detached()) {
-        // Claim under handlers_mu_, like stop(): no racing resume or
-        // reaper pass can end the same session twice.
-        session->reattach();
-        orphaned.push_back(h);
-      } else if (!h->expired.load(std::memory_order_relaxed)) {
-        attached.push_back(h);
+        session->reattach();  // claimed under sessions_mu_, like stop()
+        orphaned.push_back(session);
+      } else if (!session->expired()) {
+        attached.push_back(session);
       }
     }
   }
-  // expired makes the reader end the session outright instead of
+  // Expiry makes the reader end the session outright instead of
   // detaching it into resume limbo nobody will ever claim.
-  for (const auto& h : attached) {
-    h->expired.store(true, std::memory_order_relaxed);
-    h->connection()->close();
+  for (const auto& session : attached) {
+    session->expire();
+    if (const auto conn = session->connection()) conn->close();
   }
-  for (const auto& h : orphaned) {
-    h->expired.store(true, std::memory_order_relaxed);
-    end_abandoned_session(h);
+  for (const auto& session : orphaned) {
+    session->expire();
+    end_abandoned_session(session);
   }
   const auto closed =
       static_cast<std::uint32_t>(attached.size() + orphaned.size());
@@ -564,64 +559,70 @@ void Server::reaper_loop() {
     lock.unlock();
 
     const std::uint64_t now = obs::now_ns();
-    std::vector<std::shared_ptr<Handler>> lapsed;  // grace expired
-    std::vector<std::shared_ptr<Handler>> idle;    // attached but silent
-    {
+    // A stamp taken after `now` (a frame or a detach racing this scan)
+    // is fresh, not a huge unsigned age.
+    const auto older_than = [now](std::uint64_t stamp, std::uint64_t age) {
+      return stamp < now && now - stamp > age;
+    };
+    std::vector<std::shared_ptr<Session>> lapsed;  // grace expired
+    if (grace_ns > 0) {
+      util::MutexLock sessions_lock(sessions_mu_);
+      for (const auto& [id, session] : sessions_) {
+        if (session->detached() &&
+            older_than(session->detached_since_ns(), grace_ns)) {
+          session->reattach();  // claimed; no resume can win now
+          lapsed.push_back(session);
+        }
+      }
+    }
+    std::vector<std::shared_ptr<Handler>> idle;  // live but silent
+    if (idle_ns > 0) {
       util::MutexLock handlers_lock(handlers_mu_);
       for (const auto& h : handlers_) {
-        const auto session = h->session();
-        if (session && session->detached()) {
-          if (grace_ns > 0 &&
-              now - session->detached_since_ns() > grace_ns) {
-            session->reattach();  // claimed; no resume can win now
-            lapsed.push_back(h);
-          }
-          continue;
-        }
-        if (idle_ns == 0 || h->retired.load(std::memory_order_acquire)) {
-          continue;
-        }
-        if (session && session->closed()) continue;
-        if (now - h->last_activity_ns.load(std::memory_order_relaxed) >
-            idle_ns) {
+        if (!h->retired.load(std::memory_order_acquire) &&
+            older_than(h->last_activity_ns.load(std::memory_order_relaxed),
+                       idle_ns)) {
           idle.push_back(h);
         }
       }
     }
 
-    for (const auto& h : lapsed) {
+    for (const auto& session : lapsed) {
       obs::ScopedSpan span("session.reap", "service");
       metrics_.counter("sessions_reaped", {{"cause", "grace_expired"}})
           .add();
-      log_disconnect(h, "grace_expired", "client never resumed");
-      // Mark the handler expired so end_abandoned_session ends the
-      // session outright instead of detaching it again with a fresh
-      // timestamp (which would re-lapse forever).
-      h->expired.store(true, std::memory_order_relaxed);
-      end_abandoned_session(h);
+      log_disconnect(session->connection().get(), session.get(),
+                     "grace_expired", "client never resumed");
+      // Expired, end_abandoned_session ends the session outright
+      // instead of detaching it again with a fresh timestamp (which
+      // would re-lapse forever).
+      session->expire();
+      end_abandoned_session(session);
     }
     for (const auto& h : idle) {
       obs::ScopedSpan span("session.reap", "service");
-      h->expired.store(true, std::memory_order_relaxed);
-      if (h->session()) {
+      const auto session = session_on(*h->conn);
+      if (session) {
+        session->expire();
         metrics_.counter("sessions_reaped", {{"cause", "idle"}}).add();
       }
-      log_disconnect(h, "idle", "no traffic within idle timeout");
-      // The reader unblocks, sees expired, and ends the session.
-      h->connection()->close();
+      log_disconnect(h->conn.get(), session.get(), "idle",
+                     "no traffic within idle timeout");
+      // The reader unblocks, sees the expiry, and ends the session.
+      h->conn->close();
     }
 
     lock.lock();
   }
 }
 
-void Server::log_disconnect(const std::shared_ptr<Handler>& handler,
+void Server::log_disconnect(const Connection* conn, const Session* session,
                             std::string_view cause,
                             std::string_view detail) {
   metrics_.counter("disconnects", {{"cause", cause}}).add();
   std::string msg = "incprofd: connection ";
-  msg += handler->connection()->description();
-  if (const auto session = handler->session()) {
+  msg += conn ? conn->description() : "?";
+  if (session) {
     msg += " (session " + std::to_string(session->id()) +
            trace_tag(*session) + ")";
   }
@@ -632,33 +633,33 @@ void Server::log_disconnect(const std::shared_ptr<Handler>& handler,
   util::log_warn(msg);
 }
 
-void Server::schedule(const std::shared_ptr<Handler>& handler) {
+void Server::schedule(const std::shared_ptr<Session>& session) {
   util::MutexLock lock(ready_mu_);
-  ready_.push_back(handler);
+  ready_.push_back(session);
   ready_cv_.notify_one();
 }
 
 void Server::worker_loop() {
   for (;;) {
-    std::shared_ptr<Handler> handler;
+    std::shared_ptr<Session> session;
     {
       util::MutexLock lock(ready_mu_);
       while (!stopping_workers_ && ready_.empty()) {
         ready_cv_.wait(ready_mu_);
       }
       if (ready_.empty()) return;  // stopping and fully drained
-      handler = std::move(ready_.front());
+      session = std::move(ready_.front());
       ready_.pop_front();
       ++busy_workers_;
     }
 
-    process_round(handler);
-    const bool again = handler->session()->finish_round();
+    process_round(*session);
+    const bool again = session->finish_round();
 
     util::MutexLock lock(ready_mu_);
     --busy_workers_;
     if (again) {
-      ready_.push_back(handler);
+      ready_.push_back(std::move(session));
       ready_cv_.notify_one();
     } else if (ready_.empty() && busy_workers_ == 0) {
       idle_cv_.notify_all();
@@ -666,9 +667,8 @@ void Server::worker_loop() {
   }
 }
 
-void Server::process_round(const std::shared_ptr<Handler>& handler) {
-  const auto session = handler->session();
-  const auto frames = session->take_pending();
+void Server::process_round(Session& session) {
+  const auto frames = session.take_pending();
   for (const auto& frame : frames) {
     {
       // Re-adopt the frame's wire context on this worker thread: the
@@ -677,27 +677,23 @@ void Server::process_round(const std::shared_ptr<Handler>& handler) {
       obs::ScopedTraceContext trace_scope(
           {frame.trace_id, frame.parent_span});
       obs::ScopedSpan span("frame.process", "service", &process_hist_);
-      process_frame(handler, frame);
+      process_frame(session, frame);
     }
     if (frame.type == FrameType::kBye) break;
   }
-  metrics_.gauge("max_queue_depth")
-      .record_max(
-          static_cast<std::int64_t>(session->max_queue_depth()));
+  max_queue_depth_.record_max(
+      static_cast<std::int64_t>(session.max_queue_depth()));
 }
 
-void Server::process_frame(const std::shared_ptr<Handler>& handler,
-                           const Frame& frame) {
-  const auto session_ptr = handler->session();
-  Session& session = *session_ptr;
+void Server::process_frame(Session& session, const Frame& frame) {
   switch (frame.type) {
     case FrameType::kSnapshot: {
       gmon::ProfileSnapshot snap;
       try {
         snap = decode_snapshot(frame.payload);
       } catch (const std::exception& e) {
-        reject_frame(handler, ProtocolErrorCode::kMalformedFrame,
-                     e.what());
+        reject_session_frame(session, ProtocolErrorCode::kMalformedFrame,
+                             e.what());
         return;
       }
       // now_ns is read before `obs` shadows the namespace below.
@@ -705,18 +701,15 @@ void Server::process_frame(const std::shared_ptr<Handler>& handler,
       // The decoded snapshot is dead after this frame: hand it to the
       // tracker, which keeps it as its previous-dump state instead of
       // deep-copying the whole cumulative profile every interval.
-      const core::OnlineObservation obs =
-          session.tracker().observe(std::move(snap));
-      session.note_observation(obs);
+      const core::OnlineObservation obs = session.observe(std::move(snap));
       session.flight_recorder().record(FlightEventKind::kIntervalReceived,
                                        now, obs.interval, obs.phase);
       if (obs.transition) {
         session.flight_recorder().record(FlightEventKind::kPhaseTransition,
                                          now, obs.interval, obs.phase);
       }
-      fleet_.record_observation(session.id(), obs,
-                                session.tracker().num_phases());
-      metrics_.counter("snapshots_observed").add();
+      log_.record(session.id(), obs);
+      snapshots_observed_.add();
       if (session.subscribed()) {
         PhaseEventPayload event;
         event.interval = static_cast<std::uint32_t>(obs.interval);
@@ -724,9 +717,10 @@ void Server::process_frame(const std::shared_ptr<Handler>& handler,
         event.new_phase = obs.new_phase;
         event.transition = obs.transition;
         event.distance = obs.distance;
-        if (handler->connection()->send(
-                make_phase_event_frame(session.id(), event))) {
-          metrics_.counter("phase_events_sent").add();
+        const auto conn = session.connection();
+        if (conn &&
+            conn->send(make_phase_event_frame(session.id(), event))) {
+          phase_events_sent_.add();
         }
       }
       return;
@@ -736,115 +730,126 @@ void Server::process_frame(const std::shared_ptr<Handler>& handler,
       try {
         batch = decode_heartbeat_batch(frame.payload);
       } catch (const std::exception& e) {
-        reject_frame(handler, ProtocolErrorCode::kMalformedFrame,
-                     e.what());
+        reject_session_frame(session, ProtocolErrorCode::kMalformedFrame,
+                             e.what());
         return;
       }
       session.note_heartbeats(batch.records.size());
-      fleet_.record_heartbeats(session.id(), batch.records.size());
-      metrics_.counter("heartbeat_records").add(batch.records.size());
+      heartbeat_records_.add(batch.records.size());
       return;
     }
     case FrameType::kQuery:
-      handle_query(handler, frame);
+      handle_query(session, frame);
       return;
     case FrameType::kBye:
       // A real bye and a synthesized one can both be queued (quarantine
       // or reap racing the client's own farewell); close only once.
       if (session.closed()) return;
-      session.mark_closed();
-      fleet_.session_closed(session.id());
-      fleet_.record_drops(session.id(), session.dropped_frames());
       metrics_.counter("sessions_closed").add();
       metrics_.gauge("active_sessions").add(-1);
-      handler->connection()->close();
+      if (const auto conn = session.mark_closed()) conn->close();
       return;
     default:
       // Server-to-client frame types arriving here are client bugs.
-      reject_frame(handler, ProtocolErrorCode::kUnexpectedFrame,
-                   "frame type " +
-                       std::to_string(static_cast<unsigned>(frame.type)) +
-                       " is server-to-client");
+      reject_session_frame(
+          session, ProtocolErrorCode::kUnexpectedFrame,
+          "frame type " + std::to_string(static_cast<unsigned>(frame.type)) +
+              " is server-to-client");
       return;
   }
 }
 
-void Server::handle_query(const std::shared_ptr<Handler>& handler,
-                          const Frame& frame) {
+void Server::handle_query(Session& session, const Frame& frame) {
   QueryPayload query;
   try {
     query = decode_query(frame.payload);
   } catch (const std::exception& e) {
-    reject_frame(handler, ProtocolErrorCode::kMalformedFrame, e.what());
+    reject_session_frame(session, ProtocolErrorCode::kMalformedFrame,
+                         e.what());
     return;
   }
-  const auto session = handler->session();
   QueryReplyPayload reply;
   reply.kind = query.kind;
-  switch (query.kind) {
-    case QueryKind::kFleetSummary:
-      reply.text = fleet_.render();
-      break;
-    case QueryKind::kFleetState:
-      reply.text = encode_shard_state(shard_state());
-      break;
-    case QueryKind::kSessionStatus:
-      reply.text = session->status_line();
-      break;
-    case QueryKind::kTraceDump:
-      reply.text = encode_trace_dump(
-          capture_trace_dump(cfg_.shard_id, obs::trace()));
-      break;
-  }
-  if (handler->connection()->send(
-          make_query_reply_frame(session->id(), reply))) {
+  reply.text = answer_query(query.kind, &session);
+  const auto conn = session.connection();
+  if (conn && conn->send(make_query_reply_frame(session.id(), reply))) {
     metrics_.counter("query_replies").add();
   }
 }
 
-std::vector<std::size_t> Server::session_assignments(
-    std::uint32_t id) const {
-  util::MutexLock lock(handlers_mu_);
-  for (const auto& h : handlers_) {
-    const auto session = h->session();
-    if (session && session->id() == id) {
-      return session->assignments();
-    }
+std::string Server::answer_query(QueryKind kind,
+                                 const Session* session) const {
+  switch (kind) {
+    case QueryKind::kFleetSummary:
+      return render_fleet(shard_state());
+    case QueryKind::kFleetState:
+      return encode_shard_state(shard_state());
+    case QueryKind::kSessionStatus:
+      return session ? session->status_line() : std::string();
+    case QueryKind::kTraceDump:
+      return encode_trace_dump(
+          capture_trace_dump(cfg_.shard_id, obs::trace()));
   }
   return {};
 }
 
-std::string Server::session_flight_json(std::uint32_t id) const {
-  std::shared_ptr<Session> found;
-  {
-    util::MutexLock lock(handlers_mu_);
-    for (const auto& h : handlers_) {
-      const auto session = h->session();
-      if (session && session->id() == id) {
-        found = session;
-        break;
-      }
-    }
+ShardState Server::shard_state() const {
+  std::vector<FleetSessionInfo> rows;
+  for (const auto& session : all_sessions()) rows.push_back(session->row());
+  return capture_shard_state(cfg_.shard_id, draining(), std::move(rows),
+                             metrics_);
+}
+
+std::vector<std::shared_ptr<Session>> Server::all_sessions() const {
+  std::vector<std::shared_ptr<Session>> out;
+  util::MutexLock lock(sessions_mu_);
+  out.reserve(sessions_.size());
+  for (const auto& [id, session] : sessions_) out.push_back(session);
+  return out;
+}
+
+std::shared_ptr<Session> Server::find_session(std::uint32_t id) const {
+  util::MutexLock lock(sessions_mu_);
+  const auto it = sessions_.find(id);
+  return it == sessions_.end() ? nullptr : it->second;
+}
+
+std::shared_ptr<Session> Server::session_on(const Connection& conn) const {
+  util::MutexLock lock(sessions_mu_);
+  for (const auto& [id, session] : sessions_) {
+    if (session->connection().get() == &conn) return session;
   }
-  if (!found) return {};
-  // Render outside handlers_mu_: the recorder has its own leaf lock and
-  // JSON assembly has no business extending the scan's critical section.
-  return flight_recorder_json(found->flight_recorder(), found->id(),
-                              found->client_name(), "live",
-                              found->trace_id());
+  return nullptr;
+}
+
+std::vector<std::size_t> Server::session_assignments(
+    std::uint32_t id) const {
+  const auto session = find_session(id);
+  return session ? session->assignments() : std::vector<std::size_t>{};
+}
+
+std::string Server::session_flight_json(std::uint32_t id) const {
+  const auto session = find_session(id);
+  if (!session) return {};
+  return flight_recorder_json(session->flight_recorder(), session->id(),
+                              session->client_name(), "live",
+                              session->trace_id());
 }
 
 std::size_t Server::session_count() const {
-  return fleet_.sessions().size();
+  util::MutexLock lock(sessions_mu_);
+  return sessions_.size();
+}
+
+std::size_t Server::handler_count() const {
+  util::MutexLock lock(handlers_mu_);
+  return handlers_.size();
 }
 
 std::size_t Server::max_observed_queue_depth() const {
-  util::MutexLock lock(handlers_mu_);
   std::size_t depth = 0;
-  for (const auto& h : handlers_) {
-    if (const auto session = h->session()) {
-      depth = std::max(depth, session->max_queue_depth());
-    }
+  for (const auto& session : all_sessions()) {
+    depth = std::max(depth, session->max_queue_depth());
   }
   return depth;
 }

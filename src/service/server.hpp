@@ -2,21 +2,21 @@
 // sessions from a transport Listener, runs one OnlinePhaseTracker per
 // session on a shared worker pool (bounded per-session queues,
 // drop-and-count on overflow), answers status queries in stream order,
-// pushes phase events to subscribed clients, and folds everything into
-// a FleetAggregator + MetricsRegistry. This is the reproduction's
+// pushes phase events to subscribed clients, and reports the fleet as a
+// ShardState + MetricsRegistry. This is the reproduction's
 // monitoring-side endpoint for the paper's LDMS deployment story.
 #pragma once
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "service/fleet.hpp"
-#include "service/fleet_state.hpp"
 #include "service/session.hpp"
 #include "service/transport.hpp"
 #include "util/thread_annotations.hpp"
 
 #include <atomic>
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -105,13 +105,13 @@ class Server {
   }
 
   /// This shard's mergeable state snapshot (what a kFleetState control
-  /// query returns, pre-encoding).
-  ShardState shard_state() const {
-    return capture_shard_state(cfg_.shard_id, draining(), fleet_, metrics_);
-  }
+  /// query returns, pre-encoding): one row per session ever opened,
+  /// derived from its tracker. The daemon printout, the fleet CSV and
+  /// the kFleetSummary reply are all rendered from it.
+  ShardState shard_state() const;
 
-  /// Cross-session aggregate view (thread-safe).
-  const FleetAggregator& fleet() const noexcept { return fleet_; }
+  /// The retained tail of phase-change events across sessions.
+  const TransitionLog& transition_log() const noexcept { return log_; }
 
   /// Operational counters/gauges (thread-safe).
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
@@ -125,8 +125,12 @@ class Server {
   /// /sessions/<id>.json body); empty when the id is unknown.
   std::string session_flight_json(std::uint32_t id) const;
 
-  /// Sessions ever opened (fleet rows include closed ones).
+  /// Sessions ever opened (closed ones included).
   std::size_t session_count() const;
+
+  /// Connections not yet reaped: those with a running reader, plus the
+  /// retired ones the next accept joins.
+  std::size_t handler_count() const;
 
   /// Largest per-session queue depth observed since start.
   std::size_t max_observed_queue_depth() const;
@@ -136,109 +140,98 @@ class Server {
   std::size_t worker_count() const noexcept { return workers_.size(); }
 
  private:
+  /// One accepted connection and the thread reading it.
   struct Handler {
+    explicit Handler(std::shared_ptr<Connection> c) : conn(std::move(c)) {}
     std::thread reader;
+    const std::shared_ptr<Connection> conn;
     /// Timestamp of the last frame read off this connection (steady
     /// ns), maintained for the idle reaper.
     std::atomic<std::uint64_t> last_activity_ns{0};
-    /// Set when the reaper or a quarantine force-closed the
-    /// connection: the reader must end the session rather than leave
-    /// it resumable.
-    std::atomic<bool> expired{false};
-    /// Set when the reader thread has exited; the reaper skips retired
-    /// handlers (their last_activity_ns stops advancing but their
-    /// connection may have been rebound to a live successor).
+    /// Set as the reader thread's last act; the accept loop then joins
+    /// and drops the handler.
     std::atomic<bool> retired{false};
-    /// Rejected frames before any hello (no session to budget them).
-    /// Touched by the handler's own reader thread only.
-    std::uint32_t pre_hello_errors = 0;
-
-    /// The live connection. Swapped on resume (the worker keeps
-    /// pushing events through whatever connection is current), hence
-    /// the lock.
-    std::shared_ptr<Connection> connection() const {
-      util::MutexLock lock(mu_);
-      return conn_;
-    }
-    void rebind(std::shared_ptr<Connection> conn) {
-      util::MutexLock lock(mu_);
-      conn_ = std::move(conn);
-    }
-
-    /// The session bound at hello (or resume); null before. Written by
-    /// the handler's own reader thread, read by workers and the reaper.
-    std::shared_ptr<Session> session() const {
-      util::MutexLock lock(mu_);
-      return session_;
-    }
-    void bind_session(std::shared_ptr<Session> session) {
-      util::MutexLock lock(mu_);
-      session_ = std::move(session);
-    }
-
-   private:
-    /// Leaf lock (acquired after Server::handlers_mu_ on scan paths,
-    /// never the other way; nothing is acquired while it is held).
-    mutable util::Mutex mu_;
-    std::shared_ptr<Connection> conn_ INCPROF_GUARDED_BY(mu_);
-    std::shared_ptr<Session> session_ INCPROF_GUARDED_BY(mu_);
   };
 
   void accept_loop();
+  /// Joins and drops every handler whose reader has exited.
+  void reap_retired_handlers();
   void reader_loop(const std::shared_ptr<Handler>& handler);
   void worker_loop();
   void reaper_loop();
-  void schedule(const std::shared_ptr<Handler>& handler);
-  void process_round(const std::shared_ptr<Handler>& handler);
-  void process_frame(const std::shared_ptr<Handler>& handler,
-                     const Frame& frame);
-  void handle_query(const std::shared_ptr<Handler>& handler,
-                    const Frame& frame);
+  void schedule(const std::shared_ptr<Session>& session);
+  void process_round(Session& session);
+  void process_frame(Session& session, const Frame& frame);
+  void handle_query(Session& session, const Frame& frame);
+  /// The reply text for a query; `session` is null for a sessionless
+  /// control query (which never asks for kSessionStatus).
+  std::string answer_query(QueryKind kind, const Session* session) const;
 
-  /// Counts one rejected frame against the handler's budget, answers
-  /// with a typed kProtocolError, and quarantines (disconnect) once
-  /// the budget is spent. `frame_bytes` (when available) is the
-  /// offending wire frame; a hex prefix of it lands in the session's
-  /// flight recorder so a postmortem shows the evidence. Returns true
-  /// when the connection was closed.
-  bool reject_frame(const std::shared_ptr<Handler>& handler,
+  /// Counts one rejected frame against the session's budget (a null
+  /// session — no hello yet — has none), answers on `conn` with a typed
+  /// kProtocolError, and quarantines (disconnect) once the budget is
+  /// spent. `frame_bytes` (when available) is the offending wire frame;
+  /// a hex prefix of it lands in the session's flight recorder so a
+  /// postmortem shows the evidence. Returns true when the connection
+  /// was closed.
+  bool reject_frame(Connection& conn, Session* session,
                     ProtocolErrorCode code, const std::string& reason,
                     std::string_view frame_bytes = {});
+  /// Worker-side reject_frame through the session's current connection
+  /// (a no-op once the session closed).
+  void reject_session_frame(Session& session, ProtocolErrorCode code,
+                            const std::string& reason);
   /// Dumps `session`'s flight recorder to cfg_.postmortem_dir (no-op
   /// when the directory is unset).
   void write_postmortem(const Session& session, std::string_view reason);
-  /// Handles a hello carrying resume_session_id. Returns false when
-  /// the resume was rejected (connection closed).
-  bool resume_session(const std::shared_ptr<Handler>& handler,
-                      const HelloPayload& hello);
+  /// Handles a hello carrying resume_session_id: claims the detached
+  /// session and attaches it to `conn`. Returns null when the resume
+  /// was rejected (connection closed).
+  std::shared_ptr<Session> resume_session(
+      const std::shared_ptr<Connection>& conn, const HelloPayload& hello);
   /// Ends an abruptly-disconnected session: detaches it when resume is
-  /// enabled and allowed, else synthesizes its bye.
-  void end_abandoned_session(const std::shared_ptr<Handler>& handler);
-  void log_disconnect(const std::shared_ptr<Handler>& handler,
+  /// enabled and the session is not expired, else synthesizes its bye.
+  void end_abandoned_session(const std::shared_ptr<Session>& session);
+  /// The open session attached to `conn`, if any.
+  std::shared_ptr<Session> session_on(const Connection& conn) const;
+  std::shared_ptr<Session> find_session(std::uint32_t id) const;
+  /// Every session ever opened, in id order (copied out of the lock).
+  std::vector<std::shared_ptr<Session>> all_sessions() const;
+  void log_disconnect(const Connection* conn, const Session* session,
                       std::string_view cause, std::string_view detail);
 
   Listener& listener_;
   const ServerConfig cfg_;
-  FleetAggregator fleet_;
+  TransitionLog log_;
   obs::MetricsRegistry metrics_;
 
-  // Frame-path latency histograms, resolved once (registry references
-  // are stable) so the hot path never takes the registry lock.
+  // Per-frame metrics, resolved once (registry references are stable)
+  // so the hot path never takes the registry lock.
   obs::Histogram& decode_hist_;
   obs::Histogram& enqueue_hist_;
   obs::Histogram& process_hist_;
+  obs::Counter& frames_received_;
+  obs::Counter& frames_dropped_;
+  obs::Counter& snapshots_observed_;
+  obs::Counter& phase_events_sent_;
+  obs::Counter& heartbeat_records_;
+  obs::Gauge& max_queue_depth_;
 
   std::atomic<std::uint32_t> next_session_id_{1};
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<bool> draining_{false};
 
-  // Lock hierarchy (outer → inner): handlers_mu_ → Handler::mu_ /
-  // Session::status_mu_ → Session::queue_mu_. ready_mu_ and reaper_mu_
-  // are leaves — no other lock is ever acquired while one is held.
-  // Handler detach-claims (Session::reattach after detached()) happen
-  // only under handlers_mu_, so the reaper, a racing resume, and stop()
-  // cannot all claim the same session.
+  // Lock hierarchy (outer → inner): sessions_mu_ → Session::status_mu_
+  // → Session::queue_mu_. handlers_mu_, ready_mu_ and reaper_mu_ are
+  // leaves — no other lock is ever acquired while one is held. Detach
+  // claims (Session::reattach after detached()) happen only under
+  // sessions_mu_, so the reaper, a racing resume, a drain and stop()
+  // cannot claim the same session twice.
+  mutable util::Mutex sessions_mu_;
+  std::map<std::uint32_t, std::shared_ptr<Session>> sessions_
+      INCPROF_GUARDED_BY(sessions_mu_);
+
   mutable util::Mutex handlers_mu_;
   std::vector<std::shared_ptr<Handler>> handlers_
       INCPROF_GUARDED_BY(handlers_mu_);
@@ -246,7 +239,7 @@ class Server {
   util::Mutex ready_mu_;
   util::CondVar ready_cv_;
   util::CondVar idle_cv_;
-  std::deque<std::shared_ptr<Handler>> ready_
+  std::deque<std::shared_ptr<Session>> ready_
       INCPROF_GUARDED_BY(ready_mu_);
   std::size_t busy_workers_ INCPROF_GUARDED_BY(ready_mu_) = 0;
   bool stopping_workers_ INCPROF_GUARDED_BY(ready_mu_) = false;

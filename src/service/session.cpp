@@ -1,6 +1,5 @@
 #include "service/session.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace incprof::service {
@@ -8,24 +7,25 @@ namespace incprof::service {
 Session::Session(std::uint32_t id, const SessionConfig& cfg)
     : id_(id),
       queue_capacity_(cfg.queue_capacity),
-      // Published history cap mirrors the tracker contract: unbounded in
-      // exact mode, assignment_window in streaming mode — otherwise the
-      // status copy would undo the tracker's bounded-memory guarantee.
-      history_cap_(cfg.tracker.streaming
-                       ? std::max<std::size_t>(cfg.tracker.assignment_window,
-                                               1)
-                       : 0),
       flight_(cfg.flight_recorder_capacity),
       tracker_(cfg.tracker) {}
 
-void Session::open(std::string client_name, bool subscribe_events,
-                   std::uint64_t interval_ns) {
+void Session::open(std::string client_name, bool subscribe_events) {
   {
     util::MutexLock lock(status_mu_);
     client_name_ = std::move(client_name);
-    interval_ns_ = interval_ns;
   }
   subscribed_.store(subscribe_events, std::memory_order_relaxed);
+}
+
+void Session::attach(std::shared_ptr<Connection> conn) {
+  util::MutexLock lock(status_mu_);
+  conn_ = std::move(conn);
+}
+
+std::shared_ptr<Connection> Session::connection() const {
+  util::MutexLock lock(status_mu_);
+  return conn_;
 }
 
 Session::EnqueueResult Session::enqueue(Frame frame, bool force) {
@@ -59,20 +59,9 @@ bool Session::finish_round() {
   return true;  // stays scheduled; caller re-queues the session
 }
 
-void Session::note_observation(const core::OnlineObservation& obs) {
+core::OnlineObservation Session::observe(gmon::ProfileSnapshot&& snap) {
   util::MutexLock lock(status_mu_);
-  assignments_.push_back(obs.phase);
-  if (history_cap_ != 0 && assignments_.size() >= history_cap_ * 2) {
-    // Amortized trim: drop the stale front half in one move instead of
-    // shifting the vector every interval.
-    assignments_.erase(assignments_.begin(),
-                       assignments_.end() -
-                           static_cast<std::ptrdiff_t>(history_cap_));
-  }
-  ++intervals_observed_;
-  phases_ = tracker_.num_phases();
-  current_phase_ = obs.phase;
-  if (obs.transition) ++transitions_;
+  return tracker_.observe(std::move(snap));
 }
 
 void Session::note_heartbeats(std::uint64_t n) {
@@ -80,17 +69,14 @@ void Session::note_heartbeats(std::uint64_t n) {
   heartbeat_records_ += n;
 }
 
-void Session::mark_closed() {
+std::shared_ptr<Connection> Session::mark_closed() {
   util::MutexLock lock(status_mu_);
   closed_ = true;
+  return std::move(conn_);
 }
 
 std::uint32_t Session::note_protocol_error() {
   return protocol_errors_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-std::uint32_t Session::protocol_errors() const {
-  return protocol_errors_.load(std::memory_order_relaxed);
 }
 
 std::uint32_t Session::snapshots_accepted() const {
@@ -120,19 +106,9 @@ std::string Session::client_name() const {
   return client_name_;
 }
 
-std::uint64_t Session::dropped_frames() const {
-  util::MutexLock lock(queue_mu_);
-  return dropped_;
-}
-
 std::size_t Session::max_queue_depth() const {
   util::MutexLock lock(queue_mu_);
   return max_depth_;
-}
-
-std::size_t Session::queue_depth() const {
-  util::MutexLock lock(queue_mu_);
-  return frames_.size();
 }
 
 bool Session::closed() const {
@@ -140,44 +116,38 @@ bool Session::closed() const {
   return closed_;
 }
 
-std::uint64_t Session::heartbeat_records() const {
-  util::MutexLock lock(status_mu_);
-  return heartbeat_records_;
-}
-
-std::size_t Session::intervals_observed() const {
-  util::MutexLock lock(status_mu_);
-  return intervals_observed_;
-}
-
-std::size_t Session::transitions() const {
-  util::MutexLock lock(status_mu_);
-  return transitions_;
+FleetSessionInfo Session::row() const {
+  FleetSessionInfo r;
+  r.id = id_;
+  util::MutexLock status(status_mu_);
+  r.client_name = client_name_;
+  r.intervals = tracker_.num_intervals();
+  r.phases = tracker_.num_phases();
+  r.current_phase = tracker_.current_phase();
+  r.transitions = tracker_.transitions();
+  r.heartbeat_records = heartbeat_records_;
+  r.closed = closed_;
+  util::MutexLock queue(queue_mu_);
+  r.dropped_frames = dropped_;
+  return r;
 }
 
 std::vector<std::size_t> Session::assignments() const {
   util::MutexLock lock(status_mu_);
-  if (history_cap_ != 0 && assignments_.size() > history_cap_) {
-    return {assignments_.end() -
-                static_cast<std::ptrdiff_t>(history_cap_),
-            assignments_.end()};
-  }
-  return assignments_;
+  return tracker_.config().streaming ? tracker_.recent_assignments()
+                                     : tracker_.assignments();
 }
 
 std::string Session::status_line() const {
+  const FleetSessionInfo r = row();
   std::ostringstream os;
-  util::MutexLock status(status_mu_);
-  os << "session " << id_ << " ("
-     << (client_name_.empty() ? "?" : client_name_)
-     << "): " << intervals_observed_ << " intervals, " << phases_
-     << " phases, current phase " << current_phase_ << ", " << transitions_
-     << " transitions, " << heartbeat_records_ << " hb records";
-  {
-    util::MutexLock queue(queue_mu_);
-    os << ", " << dropped_ << " dropped";
-  }
-  if (closed_) os << " [closed]";
+  os << "session " << r.id << " ("
+     << (r.client_name.empty() ? "?" : r.client_name) << "): " << r.intervals
+     << " intervals, " << r.phases << " phases, current phase "
+     << r.current_phase << ", " << r.transitions << " transitions, "
+     << r.heartbeat_records << " hb records, " << r.dropped_frames
+     << " dropped";
+  if (r.closed) os << " [closed]";
   return os.str();
 }
 

@@ -2,17 +2,22 @@
 // flow through a bounded queue (drop-and-count on overflow — the same
 // back-pressure policy as ekg::StreamSink, because a monitor must never
 // stall its producers) into a per-session OnlinePhaseTracker that only
-// ever runs on one worker thread at a time.
+// ever runs on one worker thread at a time. The tracker is the single
+// holder of the session's phase status: every status row, line and
+// assignment list is derived from it under status_mu_.
 #pragma once
 
 #include "core/online.hpp"
+#include "service/fleet_state.hpp"
 #include "service/flight_recorder.hpp"
 #include "service/protocol.hpp"
+#include "service/transport.hpp"
 #include "util/thread_annotations.hpp"
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,10 +36,10 @@ struct SessionConfig {
   core::OnlineConfig tracker;
 };
 
-/// Tracker + queue + counters for one client. Thread roles: the
+/// Tracker + queue + connection for one client. Thread roles: the
 /// connection reader calls enqueue(); exactly one pool worker at a time
-/// calls take_pending()/finish_round() and touches the tracker; any
-/// thread may read the counters and status.
+/// calls take_pending()/finish_round()/observe(); any thread may read
+/// the status.
 class Session {
  public:
   enum class EnqueueResult {
@@ -50,13 +55,18 @@ class Session {
 
   std::uint32_t id() const noexcept { return id_; }
 
-  /// Records the hello handshake.
-  void open(std::string client_name, bool subscribe_events,
-            std::uint64_t interval_ns);
+  /// Records the hello handshake (fresh or resumed).
+  void open(std::string client_name, bool subscribe_events);
 
   bool subscribed() const noexcept {
     return subscribed_.load(std::memory_order_relaxed);
   }
+
+  /// Points the session at the connection its client now speaks on (the
+  /// hello's, or a resume's); workers send replies and events through it.
+  void attach(std::shared_ptr<Connection> conn);
+  /// The current connection; null once the session closed.
+  std::shared_ptr<Connection> connection() const;
 
   /// Reader side. `force` exempts control frames from the bound.
   EnqueueResult enqueue(Frame frame, bool force = false);
@@ -69,21 +79,19 @@ class Session {
   /// and the caller must re-schedule the session.
   bool finish_round();
 
-  /// Worker side: the session's tracker (unsynchronized by design —
-  /// the scheduler guarantees one worker per session).
-  core::OnlinePhaseTracker& tracker() noexcept { return tracker_; }
-
-  /// Worker side: publishes one observation to the cross-thread status.
-  void note_observation(const core::OnlineObservation& obs);
+  /// Worker side: feeds one cumulative dump to the tracker.
+  core::OnlineObservation observe(gmon::ProfileSnapshot&& snap);
   void note_heartbeats(std::uint64_t n);
-  void mark_closed();
+  /// Marks the session closed and hands back its connection (null if
+  /// already dropped) so the caller can close it; the session keeps no
+  /// reference, so the connection's fd is freed with its last owner.
+  std::shared_ptr<Connection> mark_closed();
 
   // --- fault handling (reader/worker/reaper threads) --------------------
 
   /// Counts one rejected frame against the session's error budget;
   /// returns the new total.
   std::uint32_t note_protocol_error();
-  std::uint32_t protocol_errors() const;
 
   /// Snapshot frames accepted into the queue so far — the resume
   /// cursor handed back in a hello-ack, so a reconnecting client
@@ -93,26 +101,31 @@ class Session {
   /// Marks the session as waiting for its client to reconnect (abrupt
   /// disconnect inside the resume grace window).
   void detach(std::uint64_t now_ns);
-  /// Reattaches after a successful resume hello.
+  /// Claims a detached session (resume, reaper, drain or stop).
   void reattach();
   bool detached() const;
   /// When detach() was last called (steady ns); 0 if never.
   std::uint64_t detached_since_ns() const;
 
+  /// Force-close, do not detach: set when the reaper, a quarantine, a
+  /// drain or shutdown closed the connection, so the reader ends the
+  /// session outright instead of leaving it resumable.
+  void expire() noexcept { expired_.store(true, std::memory_order_relaxed); }
+  bool expired() const noexcept {
+    return expired_.load(std::memory_order_relaxed);
+  }
+
   // --- any thread -------------------------------------------------------
   std::string client_name() const;
-  std::uint64_t dropped_frames() const;
   std::size_t max_queue_depth() const;
-  std::size_t queue_depth() const;
   bool closed() const;
-  std::uint64_t heartbeat_records() const;
-  std::size_t intervals_observed() const;
-  std::size_t transitions() const;
 
-  /// Copy of the per-interval phase assignments published so far. With
-  /// a streaming tracker this is bounded: only the last
-  /// assignment_window entries are retained (intervals_observed() keeps
-  /// the exact total).
+  /// The session's fleet row, derived from the tracker.
+  FleetSessionInfo row() const;
+
+  /// Phase assignments published so far: the full history with the
+  /// exact tracker, the last assignment_window entries with the
+  /// streaming one (the row's interval count keeps the exact total).
   std::vector<std::size_t> assignments() const;
 
   /// The session's flight recorder (internally synchronized).
@@ -137,11 +150,10 @@ class Session {
  private:
   const std::uint32_t id_;
   const std::size_t queue_capacity_;
-  const std::size_t history_cap_;  // 0 = unbounded (exact tracker mode)
 
   // Queue state (reader + scheduler + worker). Lock order: queue_mu_
-  // is a leaf, but status_mu_ may be held while acquiring it
-  // (status_line) — never the other way around.
+  // is a leaf, but status_mu_ may be held while acquiring it (row) —
+  // never the other way around.
   mutable util::Mutex queue_mu_;
   std::deque<Frame> frames_ INCPROF_GUARDED_BY(queue_mu_);
   bool scheduled_ INCPROF_GUARDED_BY(queue_mu_) = false;
@@ -158,23 +170,16 @@ class Session {
   std::atomic<std::uint32_t> protocol_errors_{0};
   std::atomic<bool> detached_{false};
   std::atomic<std::uint64_t> detached_since_ns_{0};
+  std::atomic<bool> expired_{false};
+  std::atomic<bool> subscribed_{false};
 
-  // Tracker: worker-only.
-  core::OnlinePhaseTracker tracker_;
-
-  // Published status (worker writes, anyone reads).
+  // Status: the worker observes under the lock, readers derive from it.
   mutable util::Mutex status_mu_;
+  core::OnlinePhaseTracker tracker_ INCPROF_GUARDED_BY(status_mu_);
+  std::shared_ptr<Connection> conn_ INCPROF_GUARDED_BY(status_mu_);
   std::string client_name_ INCPROF_GUARDED_BY(status_mu_);
-  std::uint64_t interval_ns_ INCPROF_GUARDED_BY(status_mu_) = 0;
-  std::vector<std::size_t> assignments_ INCPROF_GUARDED_BY(status_mu_);
-  std::size_t intervals_observed_ INCPROF_GUARDED_BY(status_mu_) = 0;
-  std::size_t phases_ INCPROF_GUARDED_BY(status_mu_) = 0;
-  std::size_t current_phase_ INCPROF_GUARDED_BY(status_mu_) = 0;
-  std::size_t transitions_ INCPROF_GUARDED_BY(status_mu_) = 0;
   std::uint64_t heartbeat_records_ INCPROF_GUARDED_BY(status_mu_) = 0;
   bool closed_ INCPROF_GUARDED_BY(status_mu_) = false;
-
-  std::atomic<bool> subscribed_{false};
 };
 
 }  // namespace incprof::service

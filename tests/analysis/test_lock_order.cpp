@@ -89,9 +89,9 @@ TEST(LockOrder, RepoManifestParsesAndMatchesDesign) {
   EXPECT_EQ(error, "");
   EXPECT_FALSE(order.empty());
   // Spot-check the §5.3 hierarchy the service layer depends on.
-  EXPECT_TRUE(order.allows("Server::handlers_mu_", "Handler::mu_"));
+  EXPECT_TRUE(order.allows("Server::sessions_mu_", "Session::status_mu_"));
   EXPECT_TRUE(
-      order.allows("Server::handlers_mu_", "Session::queue_mu_"));
+      order.allows("Server::sessions_mu_", "Session::queue_mu_"));
   EXPECT_TRUE(order.knows("g_sink_mu"));
 
   // The declaration block (everything after the comment header) must

@@ -100,7 +100,7 @@ TEST(Scope, ReaperUnlockRelockSplitsTheRegion) {
 }
 
 TEST(Scope, NestedAcquisitionIsRecorded) {
-  // Session::status_line: status_mu_ then queue_mu_ — the one real
+  // status_mu_ then queue_mu_, as in Session::row — the one real
   // lexical nesting in the service layer.
   const LockAnalysis a = analyze(
       "std::string Session::status_line() {\n"

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 #include <unistd.h>
 
@@ -18,6 +19,19 @@ namespace {
 
 using core::testing::cumulative_from_intervals;
 using core::testing::three_phase_workload;
+
+/// Spans recorded so far per pipeline stage (pipeline_stage_ns counts).
+std::map<std::string, std::uint64_t> stage_counts() {
+  std::map<std::string, std::uint64_t> stages;
+  const std::string prefix = "pipeline_stage_ns{stage=\"";
+  for (const auto& [key, snap] :
+       obs::default_registry().histogram_snapshots()) {
+    if (key.rfind(prefix, 0) != 0) continue;
+    stages[key.substr(prefix.size(), key.size() - prefix.size() - 2)] =
+        snap.count;
+  }
+  return stages;
+}
 
 TEST(Pipeline, RejectsTooFewSnapshots) {
   EXPECT_THROW(analyze_snapshots({}), std::invalid_argument);
@@ -140,25 +154,20 @@ TEST(Pipeline, SimdTierNeverChangesTheAnswer) {
   }
 }
 
-TEST(Pipeline, ElbowAnalysisScoresOnlyTheChosenClustering) {
-  // The elbow reads inertia alone: the per-k silhouettes stay unscored,
-  // so no pairwise-distance cache is built either (score_silhouettes is
-  // the only pipeline code that builds one).
+TEST(Pipeline, ElbowAnalysisScoresNoSilhouette) {
+  // The elbow reads inertia alone: neither the per-k silhouettes nor
+  // the chosen clustering's are scored, so no pairwise-distance cache
+  // is built either (score_silhouettes is the only pipeline code that
+  // builds one) and no silhouette stage is timed.
+  auto before = stage_counts();
   const auto snaps = cumulative_from_intervals(three_phase_workload(18));
   const PhaseAnalysis a = analyze_snapshots(snaps);
   EXPECT_FALSE(a.detection.sweep.silhouettes_scored);
   for (const auto& e : a.detection.sweep.entries) {
     EXPECT_EQ(e.silhouette, 0.0);
   }
-  // The chosen clustering is still scored, bit for bit.
-  EXPECT_GT(a.detection.silhouette, 0.0);
-  EXPECT_EQ(a.detection.silhouette,
-            cluster::mean_silhouette(a.features.features,
-                                     a.detection.assignments));
-  cluster::KSweep scored = a.detection.sweep;
-  cluster::score_silhouettes(scored, a.features.features, nullptr);
-  EXPECT_EQ(a.detection.silhouette,
-            scored.entries[a.detection.chosen_index].silhouette);
+  EXPECT_EQ(a.detection.silhouette, 0.0);
+  EXPECT_EQ(stage_counts()["silhouette"], before["silhouette"]);
 }
 
 TEST(Pipeline, SilhouetteRuleScoresEverySweptK) {
@@ -175,21 +184,38 @@ TEST(Pipeline, SilhouetteRuleScoresEverySweptK) {
 }
 
 TEST(Pipeline, StageHistogramsNameTheCodeTheyTime) {
+  // One analysis of each shape touches every stage once: a binary dump
+  // directory (load_binary_dumps) under the silhouette rule
+  // (silhouette), and an in-memory text round trip under the elbow.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("incprof_pipe_" + std::to_string(::getpid()) + "_stages");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const auto& s : cumulative_from_intervals(three_phase_workload(10))) {
+    gmon::write_binary_file(s, dir / gmon::binary_dump_name(s.seq()));
+  }
+  const auto before = stage_counts();
+  PipelineConfig silhouette_cfg;
+  silhouette_cfg.detector.selection = cluster::KSelection::kSilhouette;
+  (void)analyze_dump_dir(dir, silhouette_cfg);
+  std::filesystem::remove_all(dir);
   PipelineConfig cfg;
   cfg.text_round_trip = true;
   (void)analyze_snapshots(
       cumulative_from_intervals(three_phase_workload(10)), cfg);
-  std::set<std::string> stages;
-  const std::string prefix = "pipeline_stage_ns{stage=\"";
-  for (const auto& [key, snap] :
-       obs::default_registry().histogram_snapshots()) {
-    if (key.rfind(prefix, 0) != 0) continue;
-    stages.insert(key.substr(prefix.size(),
-                             key.size() - prefix.size() - 2));
-  }
-  EXPECT_EQ(stages, (std::set<std::string>{"text_round_trip", "differencing",
-                                           "features", "kmeans_sweep",
-                                           "rank", "site_selection"}));
+
+  std::map<std::string, std::uint64_t> stages = stage_counts();
+  for (const auto& [stage, n] : before) stages[stage] -= n;
+  std::erase_if(stages, [](const auto& kv) { return kv.second == 0; });
+  EXPECT_EQ(stages, (std::map<std::string, std::uint64_t>{
+                        {"load_binary_dumps", 1},
+                        {"text_round_trip", 1},
+                        {"differencing", 2},
+                        {"features", 2},
+                        {"kmeans_sweep", 2},
+                        {"silhouette", 1},
+                        {"rank", 2},
+                        {"site_selection", 2}}));
 }
 
 TEST(Pipeline, MergeOptionCombinesSameSitePhases) {

@@ -114,7 +114,7 @@ TEST(Gateway, SpreadsFreshSessionsAndMergedViewEqualsSum) {
   ASSERT_TRUE(wait_for([&] {
     std::size_t total = 0;
     for (const auto& shard : shards) {
-      total += shard->server->fleet().total_intervals();
+      total += shard->server->shard_state().total_intervals;
     }
     return total == expected_intervals;
   }));
@@ -182,7 +182,7 @@ TEST(Gateway, MergedMetricsDeclareATypeForEveryFamily) {
       service::replay_session(*conn, synthetic_stream(0), opts);
   ASSERT_TRUE(result.ok) << result.error;
   ASSERT_TRUE(wait_for([&] {
-    return shard.server->fleet().total_intervals() ==
+    return shard.server->shard_state().total_intervals ==
            synthetic_stream(0).size();
   }));
   gateway.poll_once();
@@ -249,7 +249,7 @@ TEST(Gateway, HostileClientNamesDoNotPoisonTheAggregatorPull) {
     expected_intervals += synthetic_stream(0).size();
   }
   ASSERT_TRUE(wait_for([&] {
-    return shard.server->fleet().total_intervals() == expected_intervals;
+    return shard.server->shard_state().total_intervals == expected_intervals;
   }));
 
   gateway.poll_once();

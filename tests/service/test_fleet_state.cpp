@@ -1,8 +1,9 @@
 // The shard-state codec (incprof-shard-state v1) and the shard-side
 // control plane it rides on: capture/encode/decode round trips, merge
-// arithmetic, forward compatibility and malformed-input rejection, plus
-// the Server answering sessionless kFleetState/kDrain frames without
-// polluting its per-session aggregates.
+// arithmetic, forward compatibility and malformed-input rejection, the
+// capture of a live server's sessions and registry, plus the Server
+// answering sessionless kFleetState/kDrain frames without polluting its
+// per-session aggregates.
 #include "service/fleet_state.hpp"
 
 #include "core/online.hpp"
@@ -189,20 +190,29 @@ TEST(ShardState, MalformedInputThrows) {
                std::runtime_error);
 }
 
-TEST(ShardState, CaptureReflectsAggregatorAndRegistry) {
-  FleetAggregator fleet;
-  fleet.session_opened(5, "alpha");
-  obs::MetricsRegistry metrics;
-  metrics.counter("frames").add(7);
-  metrics.gauge("depth").set(3);
-  metrics.histogram("lat").record(100);
+TEST(ShardState, CaptureReflectsSessionsAndRegistry) {
+  LoopbackHub hub;
+  auto listener = hub.make_listener();
+  ServerConfig cfg;
+  cfg.shard_id = 3;
+  Server server(*listener, cfg);
+  server.start();
+  auto conn = hub.connect();
+  HelloPayload hello;
+  hello.client_name = "alpha";
+  ASSERT_TRUE(conn->send(make_hello_frame(hello)));
+  ASSERT_TRUE(conn->receive().has_value());  // the hello-ack
+  server.metrics().counter("frames").add(7);
+  server.metrics().gauge("depth").set(3);
+  server.metrics().histogram("lat").record(100);
 
-  const ShardState s = capture_shard_state(3, true, fleet, metrics);
+  const ShardState s = server.shard_state();
   EXPECT_EQ(s.shard_id, 3u);
-  EXPECT_TRUE(s.draining);
+  EXPECT_FALSE(s.draining);
   EXPECT_EQ(s.open_sessions, 1u);
   ASSERT_EQ(s.sessions.size(), 1u);
   EXPECT_EQ(s.sessions[0].client_name, "alpha");
+  EXPECT_EQ(s.phase_count_histogram, (std::vector<std::uint64_t>{1}));
   bool saw_counter = false;
   for (const auto& [name, value] : s.counters) {
     if (name == "frames") {
@@ -211,8 +221,16 @@ TEST(ShardState, CaptureReflectsAggregatorAndRegistry) {
     }
   }
   EXPECT_TRUE(saw_counter);
-  ASSERT_EQ(s.histograms.size(), 1u);
-  EXPECT_EQ(s.histograms[0].second.count, 1u);
+  bool saw_histogram = false;
+  for (const auto& [name, snap] : s.histograms) {
+    if (name == "lat") {
+      saw_histogram = true;
+      EXPECT_EQ(snap.count, 1u);
+    }
+  }
+  EXPECT_TRUE(saw_histogram);
+  server.stop();
+  EXPECT_TRUE(server.shard_state().sessions[0].closed);
 }
 
 // --- shard-side control plane -----------------------------------------

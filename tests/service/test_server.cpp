@@ -111,8 +111,9 @@ TEST(Server, EightConcurrentSessionsMatchDirectTrackers) {
   // The fleet folded every interval of every stream in.
   std::size_t total = 0;
   for (const auto& s : streams) total += s.size();
-  EXPECT_EQ(server.fleet().total_intervals(), total);
-  for (const auto& row : server.fleet().sessions()) {
+  const ShardState state = server.shard_state();
+  EXPECT_EQ(state.total_intervals, total);
+  for (const auto& row : state.sessions) {
     EXPECT_TRUE(row.closed);
     EXPECT_EQ(row.dropped_frames, 0u);
   }
@@ -160,7 +161,7 @@ TEST(Server, StreamingTrackerSessionsStayBoundedAndMatchDirect) {
   // Server-side publication is the bounded tail of that story.
   EXPECT_EQ(server.session_assignments(r.session_id),
             direct.recent_assignments());
-  EXPECT_EQ(server.fleet().total_intervals(), stream.size());
+  EXPECT_EQ(server.shard_state().total_intervals, stream.size());
 }
 
 TEST(Server, OverflowDropsAreCountedAndConserved) {
@@ -193,7 +194,7 @@ TEST(Server, OverflowDropsAreCountedAndConserved) {
   EXPECT_EQ(assignments.size() + dropped, snaps.size());
   EXPECT_EQ(server.metrics().counter_value("snapshots_observed"),
             assignments.size());
-  const auto rows = server.fleet().sessions();
+  const auto rows = server.shard_state().sessions;
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].dropped_frames, dropped);
   EXPECT_TRUE(rows[0].closed);  // the bye bypasses the full queue
@@ -271,7 +272,7 @@ TEST(Server, HeartbeatBatchesAreCounted) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.heartbeat_records_sent, 150u);
   EXPECT_EQ(server.metrics().counter_value("heartbeat_records"), 150u);
-  const auto rows = server.fleet().sessions();
+  const auto rows = server.shard_state().sessions;
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].heartbeat_records, 150u);
 }
@@ -291,7 +292,7 @@ TEST(Server, AbruptDisconnectStillClosesTheSession) {
   conn->close();  // no bye: the process died
 
   ASSERT_TRUE(wait_for([&] {
-    const auto rows = server.fleet().sessions();
+    const auto rows = server.shard_state().sessions;
     return rows.size() == 1 && rows[0].closed;
   }));
   server.stop();
@@ -342,7 +343,7 @@ TEST(Server, StopDrainsEverythingAlreadyQueued) {
   // bye, and process every queued snapshot before returning.
   server.stop();
   EXPECT_EQ(server.session_assignments(id), direct_assignments(snaps));
-  const auto rows = server.fleet().sessions();
+  const auto rows = server.shard_state().sessions;
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_TRUE(rows[0].closed);
 }

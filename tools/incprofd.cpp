@@ -233,7 +233,7 @@ int run_selftest(const std::string& dump_dir, std::size_t sessions,
     }
     if (!r.status_text.empty()) std::printf("  %s\n", r.status_text.c_str());
   }
-  std::printf("%s", server.fleet().render().c_str());
+  std::printf("%s", service::render_fleet(server.shard_state()).c_str());
   std::printf("selftest: %zu/%zu sessions ok, %llu frames, %llu dropped\n",
               ok, sessions,
               static_cast<unsigned long long>(
@@ -334,7 +334,7 @@ int run_selftest_chaos(const std::string& dump_dir, std::size_t sessions,
   }
 
   const auto& m = server.metrics();
-  std::printf("%s", server.fleet().render().c_str());
+  std::printf("%s", service::render_fleet(server.shard_state()).c_str());
   std::printf(
       "chaos: %zu/%zu sessions ok, clean %zu/%zu undisturbed, "
       "%llu rejected, %llu quarantined, %llu reconnects\n",
@@ -502,21 +502,24 @@ int main(int argc, char** argv) {
         break;
       }
       if (report_every > 0.0 && now >= next_report) {
-        std::printf("%s", server.fleet().render().c_str());
+        std::printf("%s", service::render_fleet(server.shard_state()).c_str());
         std::fflush(stdout);
         next_report = now + std::chrono::duration<double>(report_every);
       }
     }
 
     server.stop();
-    std::printf("%s", server.fleet().render().c_str());
+    // One capture feeds both the final report and the fleet CSV.
+    const service::ShardState final_state = server.shard_state();
+    std::printf("%s", service::render_fleet(final_state).c_str());
     if (!metrics_csv.empty()) {
       write_csv_file(metrics_csv,
                      [&](std::ostream& os) { server.metrics().write_csv(os); });
     }
     if (!fleet_csv.empty()) {
-      write_csv_file(fleet_csv,
-                     [&](std::ostream& os) { server.fleet().write_csv(os); });
+      write_csv_file(fleet_csv, [&](std::ostream& os) {
+        service::write_fleet_csv(final_state, os);
+      });
     }
     std::printf("incprofd: served %llu sessions, %llu frames (%llu dropped)\n",
                 static_cast<unsigned long long>(
