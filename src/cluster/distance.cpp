@@ -11,10 +11,9 @@ namespace {
 
 // Always-on precondition check. The old assert() vanished in release
 // builds and a mismatched pair of spans silently read out of bounds;
-// the cost of this branch is one predicted-not-taken compare per call
-// (measured in bench_micro_pipeline's per-kernel rows). Aborting is
-// deliberate: a width mismatch is a caller bug, not an input error,
-// and continuing would cluster on garbage.
+// the cost of this branch is one predicted-not-taken compare per
+// call. Aborting is deliberate: a width mismatch is a caller bug, not
+// an input error, and continuing would cluster on garbage.
 inline void check_same_size(std::span<const double> a,
                             std::span<const double> b,
                             const char* kernel) noexcept {

@@ -8,4 +8,6 @@ void touch() {
   std::lock_guard<std::mutex> lock(g_mu);
 }
 
+std::condition_variable g_cv;
+
 }  // namespace corpus

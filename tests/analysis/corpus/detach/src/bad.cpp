@@ -7,4 +7,8 @@ void fire_and_forget() {
   worker.detach();
 }
 
+void Pool::drop() {
+  thread_->detach( );
+}
+
 }  // namespace corpus

@@ -7,4 +7,12 @@ unsigned fresh_seed() {
   return rd();
 }
 
+void reseed() {
+  std::srand(time(nullptr));
+}
+
+const char* home() {
+  return getenv("HOME");
+}
+
 }  // namespace corpus

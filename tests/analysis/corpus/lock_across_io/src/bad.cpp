@@ -7,4 +7,9 @@ void Conn::send_frame(const char* buf, int n) {
   ::send(fd_, buf, n, 0);
 }
 
+void Conn::stop() {
+  util::MutexLock lock(send_mu_);
+  reader_.join();
+}
+
 }  // namespace corpus

@@ -12,4 +12,14 @@ void Registry::flush() {
   util::MutexLock rogue(scratch_mu_);
 }
 
+void Sink::flush_all() {
+  util::MutexLock l(mu_);
+  util::MutexLock m(aux_mu_);
+}
+
+void Sink::flush_waived() {
+  util::MutexLock l(mu_);
+  util::MutexLock m(aux_mu_);  // incprof-lint: allow(lock-order)
+}
+
 }  // namespace corpus

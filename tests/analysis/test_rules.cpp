@@ -166,6 +166,41 @@ TEST(Registry, DocDriftAndSuppression) {
   EXPECT_TRUE(none.empty());
 }
 
+TEST(Registry, SpanAndMetricMayNotShareAName) {
+  analysis::MetricRegistryCheck registry;
+  registry.scan_source(
+      "src/prof/a.cpp",
+      analysis::make_views("obs::ScopedSpan span(\"session.reap\");\n"));
+  registry.scan_source(
+      "src/prof/b.cpp",
+      analysis::make_views("r.counter(\"session.reap\").add();\n"));
+  std::vector<analysis::Finding> findings;
+  registry.finish(findings);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "src/prof/a.cpp");
+  EXPECT_EQ(findings[0].line, 1u);
+  EXPECT_EQ(findings[0].rule, "metric-registry");
+}
+
+TEST(Registry, FleetNamesResolveToSynthesizedOrDerivedSeries) {
+  // `fleet_shards` is a literal the merged exposition in src/fleet
+  // synthesizes; `fleet_frame_stage_ns_count` is the fleet_ prefix on
+  // a shard histogram's _count family. Neither is doc drift.
+  analysis::MetricRegistryCheck registry;
+  registry.scan_source(
+      "src/service/a.cpp",
+      analysis::make_views("r.histogram(\"frame_stage_ns\").record(1);\n"));
+  registry.scan_source(
+      "src/fleet/g.cpp",
+      analysis::make_views("out += gauge_line(\"fleet_shards\", n);\n"));
+  registry.scan_docs("README.md",
+                     "The gateway exposes `fleet_shards` and "
+                     "`fleet_frame_stage_ns_count`.\n");
+  std::vector<analysis::Finding> findings;
+  registry.finish(findings);
+  EXPECT_TRUE(findings.empty());
+}
+
 TEST(Registry, PlainWordsInDocsAreNotMetricCitations) {
   // Names without labels, unit suffixes, or reserved prefixes are not
   // treated as metric citations — `check_sum`, `src/fleet`, flag names

@@ -1,15 +1,19 @@
 // Streaming-mode tracker tests: bounded state, sketch behavior,
-// online merges, the move-observe path, and the ring/counter contract.
+// online merges, the move-observe path, the ring/counter contract, and
+// phase-boundary parity with the offline pipeline.
 // Exact mode is covered by test_online.cpp; everything here runs with
 // OnlineConfig::streaming = true unless it is explicitly comparing the
 // two modes.
 #include "core/online.hpp"
 
 #include "cluster/quality.hpp"
+#include "core/pipeline.hpp"
 #include "synthetic.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -25,6 +29,85 @@ OnlineConfig streaming_config(std::size_t sketch_width = 256) {
   cfg.streaming = true;
   cfg.sketch_width = sketch_width;
   return cfg;
+}
+
+/// Phase-boundary positions of an assignment sequence (indices whose
+/// phase differs from the previous interval's).
+std::vector<std::size_t> boundaries(const std::vector<std::size_t>& a) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 1; i < a.size(); ++i) {
+    if (a[i] != a[i - 1]) out.push_back(i);
+  }
+  return out;
+}
+
+/// Boundary F1 with +-`tol` interval tolerance: a predicted boundary
+/// matches an unmatched reference boundary within tol. 1.0 when both
+/// sequences have no boundaries at all.
+double boundary_f1(const std::vector<std::size_t>& reference,
+                   const std::vector<std::size_t>& predicted,
+                   std::size_t tol) {
+  const auto ref = boundaries(reference);
+  const auto pred = boundaries(predicted);
+  if (ref.empty() && pred.empty()) return 1.0;
+  if (ref.empty() || pred.empty()) return 0.0;
+  std::vector<bool> used(ref.size(), false);
+  std::size_t matched = 0;
+  for (const std::size_t p : pred) {
+    for (std::size_t r = 0; r < ref.size(); ++r) {
+      const std::size_t d = p > ref[r] ? p - ref[r] : ref[r] - p;
+      if (!used[r] && d <= tol) {
+        used[r] = true;
+        ++matched;
+        break;
+      }
+    }
+  }
+  const double precision =
+      static_cast<double>(matched) / static_cast<double>(pred.size());
+  const double recall =
+      static_cast<double>(matched) / static_cast<double>(ref.size());
+  if (precision + recall == 0.0) return 0.0;
+  return 2.0 * precision * recall / (precision + recall);
+}
+
+/// A seeded multi-phase workload: `phases` blocks of `per` intervals,
+/// each block dominated by its own disjoint function set, with
+/// deterministic per-interval wobble.
+std::vector<gmon::ProfileSnapshot> phased_workload(std::uint64_t seed,
+                                                   std::size_t phases,
+                                                   std::size_t per) {
+  constexpr std::size_t kFuncsPerPhase = 4;
+  util::Rng rng(seed);
+  std::vector<std::int64_t> totals(phases * kFuncsPerPhase, 0);
+  std::vector<std::int64_t> calls(phases * kFuncsPerPhase, 0);
+  std::vector<gmon::ProfileSnapshot> snaps;
+  char name[32];
+  for (std::size_t i = 0; i < phases * per; ++i) {
+    const std::size_t phase = i / per;
+    for (std::size_t f = 0; f < kFuncsPerPhase; ++f) {
+      const std::size_t idx = phase * kFuncsPerPhase + f;
+      totals[idx] += static_cast<std::int64_t>(
+          (f + 1) * 150'000'000 + rng.next_below(30'000'000));
+      calls[idx] += static_cast<std::int64_t>(1 + rng.next_below(50));
+    }
+    gmon::ProfileSnapshot snap(static_cast<std::uint32_t>(i),
+                               static_cast<std::int64_t>(i + 1) *
+                                   1'000'000'000);
+    for (std::size_t idx = 0; idx < totals.size(); ++idx) {
+      if (totals[idx] == 0) continue;
+      std::snprintf(name, sizeof(name), "phase%zu_fn%zu",
+                    idx / kFuncsPerPhase, idx % kFuncsPerPhase);
+      gmon::FunctionProfile fp;
+      fp.name = name;
+      fp.self_ns = totals[idx];
+      fp.calls = calls[idx];
+      fp.inclusive_ns = fp.self_ns;
+      snap.upsert(std::move(fp));
+    }
+    snaps.push_back(std::move(snap));
+  }
+  return snaps;
 }
 
 TEST(OnlineStreaming, StateStaysFlatOverLongSession) {
@@ -243,6 +326,30 @@ TEST(OnlineStreaming, TransitionCountingSurvivesMerges) {
   }
   ASSERT_TRUE(merged);
   EXPECT_EQ(transitions_after_merge, 0u);
+}
+
+TEST(OnlineStreaming, PhaseBoundariesMatchTheOfflinePipeline) {
+  // Batch parity: on seeded multi-phase workloads the streaming
+  // tracker (default 256-wide sketch) must place its phase boundaries
+  // where the offline k-means pipeline does, within one interval.
+  struct Workload {
+    std::uint64_t seed;
+    std::size_t phases;
+    std::size_t per;
+  };
+  for (const Workload& w : {Workload{21, 4, 40}, Workload{22, 3, 60},
+                            Workload{23, 6, 25}}) {
+    const auto snaps = phased_workload(w.seed, w.phases, w.per);
+    const PhaseAnalysis offline = analyze_snapshots(snaps);
+    auto cfg = streaming_config();
+    cfg.assignment_window = snaps.size();
+    OnlinePhaseTracker tracker(cfg);
+    for (const auto& snap : snaps) tracker.observe(snap);
+    EXPECT_GE(boundary_f1(offline.detection.assignments,
+                          tracker.recent_assignments(), 1),
+              0.9)
+        << w.phases << "x" << w.per;
+  }
 }
 
 }  // namespace

@@ -92,6 +92,9 @@ TEST(RegistryStress, ScrapeUnderContention) {
   const std::size_t per_thread = 2000 * soak_factor();
   constexpr std::size_t kBumpers = 4;
   std::atomic<bool> stop{false};
+  // One metric exists before the scraper starts, so every scrape has a
+  // "# TYPE" line to find; an empty registry renders nothing at all.
+  registry.counter("stress_shared");
 
   // Bumpers resolve metrics by name every iteration (hammering the
   // registry map lock) and bump them, including labeled families.

@@ -43,428 +43,29 @@
 //            [--format text|json|sarif]
 //            [--rules r1,r2,...]
 //            [--baseline FILE] [--write-baseline FILE]
-//        incprof_lint --self-test
+//
+// The rules' exact finding sets are pinned by tests/analysis (unit
+// cases plus one seeded corpus tree per rule).
 
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "analysis/lexer.hpp"
-#include "analysis/lock_order.hpp"
-#include "analysis/rules.hpp"
-#include "analysis/scope.hpp"
 
 namespace {
 
 namespace analysis = incprof::analysis;
-
-// ---------------------------------------------------------------------------
-// Self-test: every rule must fire on its seeded violation, stay silent
-// on the idiomatic replacement, and — unlike v1, which only looked at
-// the first finding's rule — produce EXACTLY the expected finding set.
-
-struct Expected {
-  std::size_t line;
-  const char* rule;
-};
-
-struct Case {
-  const char* name;
-  const char* path;      // pseudo repo-relative path; drives the profile
-  const char* snippet;
-  const char* manifest;  // lock-order manifest; nullptr = none loaded
-  std::vector<Expected> expect;
-};
-
-const std::vector<Case>& cases() {
-  static const std::vector<Case> kCases = {
-      // --- bare-mutex -----------------------------------------------------
-      {"bare-mutex/mutex", "src/core/selftest.cpp", "std::mutex mu_;\n",
-       nullptr, {{1, "bare-mutex"}}},
-      {"bare-mutex/lock_guard", "src/core/selftest.cpp",
-       "std::lock_guard lock(mu_);\n", nullptr, {{1, "bare-mutex"}}},
-      {"bare-mutex/condvar", "src/core/selftest.cpp",
-       "std::condition_variable cv_;\n", nullptr, {{1, "bare-mutex"}}},
-      {"bare-mutex/wrapped-clean", "src/core/selftest.cpp",
-       "util::Mutex mu_;\nutil::MutexLock lock(mu_);\n", "leaf mu_\n", {}},
-      {"bare-mutex/comment-clean", "src/core/selftest.cpp",
-       "// std::mutex in a comment is fine\n", nullptr, {}},
-      {"bare-mutex/string-clean", "src/core/selftest.cpp",
-       "const char* s = \"std::mutex\";\n", nullptr, {}},
-      {"bare-mutex/allow", "src/core/selftest.cpp",
-       "std::mutex mu_;  // incprof-lint: allow(bare-mutex)\n", nullptr,
-       {}},
-      {"bare-mutex/annotations-header-exempt",
-       "src/util/thread_annotations.hpp", "std::mutex raw_;\n", nullptr,
-       {}},
-      // The C++14 digit-separator regression: the v1 lexer treated the
-      // ' in 10'000 as the start of a char literal and swallowed the
-      // rest of the file, hiding the violation on the next line.
-      {"lexer/digit-separator", "src/core/selftest.cpp",
-       "long long budget = 10'000;\nstd::mutex late_mu_;\n", nullptr,
-       {{2, "bare-mutex"}}},
-      {"lexer/char-literal-still-blanked", "src/core/selftest.cpp",
-       "char c = 'x'; std::mutex m_;\n", nullptr, {{1, "bare-mutex"}}},
-      {"lexer/prefixed-char-literal", "src/core/selftest.cpp",
-       "auto q = U'\"'; std::mutex m_;\n", nullptr, {{1, "bare-mutex"}}},
-      // --- detach ---------------------------------------------------------
-      {"detach/dot", "src/core/selftest.cpp", "worker.detach();\n",
-       nullptr, {{1, "detach"}}},
-      {"detach/arrow", "src/core/selftest.cpp",
-       "thread_->detach( );\n", nullptr, {{1, "detach"}}},
-      {"detach/session-clean", "src/core/selftest.cpp",
-       "session->detach(obs::now_ns());\n", nullptr, {}},
-      // --- metric-name ----------------------------------------------------
-      {"metric-name/dash", "src/core/selftest.cpp",
-       "registry.counter(\"Bad-Name\").add();\n", nullptr,
-       {{1, "metric-name"}}},
-      {"metric-name/camel", "src/core/selftest.cpp",
-       "registry.gauge(\"camelCase\").set(1);\n", nullptr,
-       {{1, "metric-name"}}},
-      {"metric-name/leading-digit", "src/core/selftest.cpp",
-       "registry.counter(\"2fast\").add();\n", nullptr,
-       {{1, "metric-name"}}},
-      {"metric-name/digits-clean", "src/core/selftest.cpp",
-       "registry.counter(\"shared_0\").add();\n", nullptr, {}},
-      {"metric-name/labels-clean", "src/core/selftest.cpp",
-       "registry.histogram(\"frame_stage_ns\").record(1);\n", nullptr,
-       {}},
-      // --- naked-new ------------------------------------------------------
-      {"naked-new/new", "src/core/selftest.cpp",
-       "auto* p = new Widget();\n", nullptr, {{1, "naked-new"}}},
-      {"naked-new/malloc", "src/core/selftest.cpp",
-       "void* p = malloc(64);\n", nullptr, {{1, "naked-new"}}},
-      {"naked-new/make-unique-clean", "src/core/selftest.cpp",
-       "auto p = std::make_unique<Widget>();\n", nullptr, {}},
-      {"naked-new/include-clean", "src/core/selftest.cpp",
-       "#include <new>\n", nullptr, {}},
-      {"naked-new/tests-profile-clean", "tests/selftest.cpp",
-       "auto* p = new Widget();\n", nullptr, {}},
-      // --- determinism ----------------------------------------------------
-      {"determinism/random-device", "src/cluster/selftest.cpp",
-       "auto seed = std::random_device{}();\n", nullptr,
-       {{1, "determinism"}}},
-      {"determinism/srand-time", "src/cluster/selftest.cpp",
-       "std::srand(time(nullptr));\n", nullptr, {{1, "determinism"}}},
-      {"determinism/system-clock", "src/core/selftest.cpp",
-       "auto t = std::chrono::system_clock::now();\n", nullptr,
-       {{1, "determinism"}}},
-      {"determinism/getenv", "src/cluster/selftest.cpp",
-       "const char* home = getenv(\"HOME\");\n", nullptr,
-       {{1, "determinism"}}},
-      {"determinism/fast-math-pragma", "src/cluster/selftest.cpp",
-       "#pragma float_control(precise, off)\n", nullptr,
-       {{1, "determinism"}}},
-      {"determinism/fast-math-optimize", "src/cluster/selftest.cpp",
-       "__attribute__((optimize(\"fast-math\"))) double hot();\n", nullptr,
-       {{1, "determinism"}}},
-      {"determinism/comment-clean", "src/cluster/selftest.cpp",
-       "// system_clock would break replay here\n", nullptr, {}},
-      {"determinism/fast-math-comment-clean", "src/cluster/selftest.cpp",
-       "// -ffast-math must never be enabled for this TU\n", nullptr, {}},
-      {"determinism/rng-clean", "src/cluster/selftest.cpp",
-       "util::Rng rng(seed);\n", nullptr, {}},
-      {"determinism/outside-kernel-clean", "src/service/selftest.cpp",
-       "auto t = std::chrono::system_clock::now();\n", nullptr, {}},
-      {"determinism/tools-clean", "tools/selftest.cpp",
-       "auto t = std::chrono::system_clock::now();\n", nullptr, {}},
-      // --- lock-order -----------------------------------------------------
-      {"lock-order/in-order-clean", "src/service/selftest.cpp",
-       "void Pipeline::step() {\n"
-       "  util::MutexLock a(call_mu_);\n"
-       "  util::MutexLock b(mu_);\n"
-       "}\n",
-       "order Pipeline::call_mu_ > Pipeline::mu_\n", {}},
-      {"lock-order/reversed", "src/service/selftest.cpp",
-       "void Pipeline::step() {\n"
-       "  util::MutexLock b(mu_);\n"
-       "  util::MutexLock a(call_mu_);\n"
-       "}\n",
-       "order Pipeline::call_mu_ > Pipeline::mu_\n",
-       {{3, "lock-order"}}},
-      {"lock-order/leaf-violated", "src/service/selftest.cpp",
-       "void Sink::flush_all() {\n"
-       "  util::MutexLock l(mu_);\n"
-       "  util::MutexLock m(aux_mu_);\n"
-       "}\n",
-       "leaf Sink::mu_\nleaf Sink::aux_mu_\n", {{3, "lock-order"}}},
-      {"lock-order/unknown-mutex", "src/service/selftest.cpp",
-       "void Sink::flush_all() {\n"
-       "  util::MutexLock l(rogue_mu_);\n"
-       "}\n",
-       "leaf Sink::mu_\n", {{2, "lock-order"}}},
-      {"lock-order/in-class-key", "src/service/selftest.cpp",
-       "class Handler {\n"
-       "  void bump() {\n"
-       "    util::MutexLock lock(mu_);\n"
-       "  }\n"
-       "};\n",
-       "leaf Handler::mu_\n", {}},
-      {"lock-order/file-scope-key", "src/util/selftest.cpp",
-       "util::Mutex g_sink_mu;\n"
-       "void log_line() {\n"
-       "  util::MutexLock lock(g_sink_mu);\n"
-       "}\n",
-       "leaf g_sink_mu\n", {}},
-      // The server.cpp reaper pattern: unlock before taking the other
-      // leaf, re-lock after — two disjoint regions, no nesting.
-      {"lock-order/unlock-splits-region", "src/service/selftest.cpp",
-       "void Server::reaper_loop() {\n"
-       "  util::MutexLock lock(reaper_mu_);\n"
-       "  lock.unlock();\n"
-       "  {\n"
-       "    util::MutexLock handlers(handlers_mu_);\n"
-       "    prune();\n"
-       "  }\n"
-       "  lock.lock();\n"
-       "}\n",
-       "leaf Server::reaper_mu_\nleaf Server::handlers_mu_\n", {}},
-      {"lock-order/no-unlock-nests", "src/service/selftest.cpp",
-       "void Server::reaper_loop() {\n"
-       "  util::MutexLock lock(reaper_mu_);\n"
-       "  {\n"
-       "    util::MutexLock handlers(handlers_mu_);\n"
-       "    prune();\n"
-       "  }\n"
-       "}\n",
-       "leaf Server::reaper_mu_\nleaf Server::handlers_mu_\n",
-       {{4, "lock-order"}}},
-      {"lock-order/allow", "src/service/selftest.cpp",
-       "void Sink::flush_all() {\n"
-       "  util::MutexLock l(mu_);\n"
-       "  util::MutexLock m(aux_mu_);  // incprof-lint: "
-       "allow(lock-order)\n"
-       "}\n",
-       "leaf Sink::mu_\nleaf Sink::aux_mu_\n", {}},
-      // --- lock-across-io -------------------------------------------------
-      {"lock-across-io/send", "src/service/selftest.cpp",
-       "void Worker::run() {\n"
-       "  util::MutexLock lock(mu_);\n"
-       "  ::send(fd_, buf, n, 0);\n"
-       "}\n",
-       "leaf Worker::mu_\n", {{3, "lock-across-io"}}},
-      {"lock-across-io/join", "src/service/selftest.cpp",
-       "void Worker::stop() {\n"
-       "  util::MutexLock lock(mu_);\n"
-       "  t.join();\n"
-       "}\n",
-       "leaf Worker::mu_\n", {{3, "lock-across-io"}}},
-      {"lock-across-io/release-first-clean", "src/service/selftest.cpp",
-       "void Worker::run() {\n"
-       "  {\n"
-       "    util::MutexLock lock(mu_);\n"
-       "    n = fill(buf);\n"
-       "  }\n"
-       "  ::send(fd_, buf, n, 0);\n"
-       "}\n",
-       "leaf Worker::mu_\n", {}},
-      {"lock-across-io/unlock-toggle-clean", "src/service/selftest.cpp",
-       "void Worker::run() {\n"
-       "  util::MutexLock lock(mu_);\n"
-       "  prepare();\n"
-       "  lock.unlock();\n"
-       "  ::send(fd_, buf, n, 0);\n"
-       "  lock.lock();\n"
-       "  done_ = true;\n"
-       "}\n",
-       "leaf Worker::mu_\n", {}},
-      {"lock-across-io/allow", "src/service/selftest.cpp",
-       "void Worker::run() {\n"
-       "  util::MutexLock lock(mu_);\n"
-       "  ::send(fd_, buf, n, 0);  // incprof-lint: "
-       "allow(lock-across-io)\n"
-       "}\n",
-       "leaf Worker::mu_\n", {}},
-  };
-  return kCases;
-}
-
-std::vector<analysis::Finding> run_case(const Case& c,
-                                        std::string* manifest_error) {
-  const analysis::FileViews views = analysis::make_views(c.snippet);
-  const analysis::LockAnalysis locks = analysis::analyze_locks(views);
-  analysis::LockOrder order;
-  bool have_order = false;
-  if (c.manifest != nullptr) {
-    std::string err;
-    order = analysis::LockOrder::parse(c.manifest, &err);
-    if (!err.empty()) {
-      *manifest_error = err;
-    } else {
-      have_order = true;
-    }
-  }
-  analysis::FileProfile profile = analysis::profile_for_path(c.path);
-  if (!have_order) profile.rules.lock_order = false;
-
-  analysis::FileCheckInput input;
-  input.display_path = c.path;
-  input.views = &views;
-  input.locks = &locks;
-  input.order = have_order ? &order : nullptr;
-  input.rules = profile.rules;
-  input.is_annotations_header =
-      std::string(c.path) == "src/util/thread_annotations.hpp";
-  std::vector<analysis::Finding> findings;
-  analysis::check_file(input, findings);
-  return findings;
-}
-
-std::string finding_set_string(
-    const std::vector<std::pair<std::size_t, std::string>>& set) {
-  if (set.empty()) return "clean";
-  std::ostringstream os;
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    os << (i ? ", " : "") << set[i].first << ":" << set[i].second;
-  }
-  return os.str();
-}
-
-/// Cross-file metric-registry self-test: feed pseudo files through the
-/// same MetricRegistryCheck the tree scan uses.
-struct RegistryCase {
-  const char* name;
-  std::vector<std::pair<const char*, const char*>> sources;
-  std::vector<std::pair<const char*, const char*>> docs;
-  // expected findings as (file, line); the rule is always metric-registry
-  std::vector<std::pair<const char*, std::size_t>> expect;
-};
-
-const std::vector<RegistryCase>& registry_cases() {
-  static const std::vector<RegistryCase> kCases = {
-      {"registry/cited-and-registered-clean",
-       {{"src/obs/a.cpp", "r.counter(\"obs_scrapes\").add();\n"}},
-       {{"README.md", "Scrapes show up in `obs_scrapes`.\n"}},
-       {}},
-      {"registry/type-drift",
-       {{"src/obs/a.cpp", "r.counter(\"queue_depth\").add();\n"},
-        {"src/obs/b.cpp", "r.gauge(\"queue_depth\").set(3);\n"}},
-       {},
-       {{"src/obs/b.cpp", 1}}},
-      {"registry/span-metric-collision",
-       {{"src/prof/a.cpp", "obs::ScopedSpan span(\"session.reap\");\n"},
-        {"src/prof/b.cpp", "r.counter(\"session.reap\").add();\n"}},
-       {},
-       {{"src/prof/a.cpp", 1}}},
-      {"registry/fleet-prefix-reserved",
-       {{"src/core/m.cpp", "r.counter(\"fleet_rogue_total\").add();\n"}},
-       {},
-       {{"src/core/m.cpp", 1}}},
-      {"registry/doc-drift",
-       {{"src/obs/a.cpp", "r.counter(\"obs_scrapes\").add();\n"}},
-       {{"DESIGN.md",
-         "Intro line.\nWatch `ghost_metric_total` for trouble.\n"}},
-       {{"DESIGN.md", 2}}},
-      {"registry/fleet-synthesis-and-derivation-clean",
-       {{"src/service/a.cpp",
-         "r.histogram(\"frame_stage_ns\").record(1);\n"},
-        {"src/fleet/g.cpp",
-         "out += gauge_line(\"fleet_shards\", n);\n"}},
-       {{"README.md",
-         "The gateway exposes `fleet_shards` and "
-         "`fleet_frame_stage_ns_count`.\n"}},
-       {}},
-      {"registry/doc-labels-clean",
-       {{"src/service/a.cpp",
-         "r.histogram(\"frame_stage_ns\").record(1);\n"}},
-       {{"DESIGN.md",
-         "Stage cost lands in `frame_stage_ns{stage=\"decode\"}`.\n"}},
-       {}},
-  };
-  return kCases;
-}
-
-int self_test() {
-  int failures = 0;
-
-  for (const Case& c : cases()) {
-    std::string manifest_error;
-    const std::vector<analysis::Finding> findings =
-        run_case(c, &manifest_error);
-    if (!manifest_error.empty()) {
-      ++failures;
-      std::cerr << "self-test FAILED [" << c.name
-                << "]: manifest did not parse: " << manifest_error
-                << "\n";
-      continue;
-    }
-    std::vector<std::pair<std::size_t, std::string>> got, want;
-    for (const analysis::Finding& f : findings) {
-      got.emplace_back(f.line, f.rule);
-    }
-    for (const Expected& e : c.expect) {
-      want.emplace_back(e.line, e.rule);
-    }
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
-    if (got != want) {
-      ++failures;
-      std::cerr << "self-test FAILED [" << c.name << "]: expected {"
-                << finding_set_string(want) << "}, got {"
-                << finding_set_string(got) << "}\n";
-      for (const analysis::Finding& f : findings) {
-        std::cerr << "    " << f.line << ": [" << f.rule << "] "
-                  << f.detail << "\n";
-      }
-    }
-  }
-
-  for (const RegistryCase& c : registry_cases()) {
-    analysis::MetricRegistryCheck registry;
-    for (const auto& [path, text] : c.sources) {
-      registry.scan_source(path, analysis::make_views(text));
-    }
-    for (const auto& [path, text] : c.docs) {
-      registry.scan_docs(path, text);
-    }
-    std::vector<analysis::Finding> findings;
-    registry.finish(findings);
-    std::vector<std::pair<std::string, std::size_t>> got, want;
-    for (const analysis::Finding& f : findings) {
-      got.emplace_back(f.file, f.line);
-    }
-    for (const auto& [file, line] : c.expect) {
-      want.emplace_back(file, line);
-    }
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
-    if (got != want) {
-      ++failures;
-      std::cerr << "self-test FAILED [" << c.name << "]:\n";
-      for (const analysis::Finding& f : findings) {
-        std::cerr << "    " << f.file << ":" << f.line << ": ["
-                  << f.rule << "] " << f.detail << "\n";
-      }
-      if (findings.empty()) std::cerr << "    (clean)\n";
-    }
-  }
-
-  if (failures == 0) {
-    std::cout << "incprof_lint: self-test passed ("
-              << cases().size() + registry_cases().size()
-              << " cases)\n";
-    return 0;
-  }
-  std::cerr << "incprof_lint: self-test: " << failures
-            << " case(s) failed\n";
-  return 1;
-}
-
-// ---------------------------------------------------------------------------
 
 int usage(int exit_code) {
   (exit_code == 0 ? std::cout : std::cerr)
       << "usage: incprof_lint [repo-root]\n"
          "           [--format text|json|sarif]\n"
          "           [--rules rule1,rule2,...]\n"
-         "           [--baseline FILE] [--write-baseline FILE]\n"
-         "       incprof_lint --self-test\n";
+         "           [--baseline FILE] [--write-baseline FILE]\n";
   return exit_code;
 }
 
@@ -496,9 +97,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--self-test") {
-      return self_test();
-    } else if (arg == "--help" || arg == "-h") {
+    if (arg == "--help" || arg == "-h") {
       return usage(0);
     } else if (arg == "--format") {
       const char* v = value("--format");
