@@ -1,8 +1,9 @@
 // Ablation: coverage threshold for Algorithm 1 ("our implemented
 // algorithm does allow a coverage threshold, to skip outliers; in our
-// results we use a 95% threshold"). Sweeping it shows the trade the
-// paper made: 100% coverage chases outlier intervals with extra sites;
-// lower thresholds drop secondary sites that real phases need.
+// results we use a 95% threshold"). On the five paper apps the sweep
+// shows the knob is inert: in every phase, the sites that reach 80%
+// coverage already cover all of its intervals, so every threshold from
+// 80% to 100% gives the same selection.
 #include "bench_common.hpp"
 
 #include "core/sites.hpp"
@@ -52,8 +53,9 @@ int main() {
     }
   }
   std::printf("%s\n", t.render().c_str());
-  std::printf("expectation: site count grows monotonically with the "
-              "threshold; 95%% (the paper's choice) keeps the principal "
-              "sites while skipping outlier-only additions.\n");
+  std::printf("observed: the same site counts and 100%% mean phase "
+              "coverage at every threshold from 80%% to 100%% on all five "
+              "apps; the sites that reach 80%% coverage already cover "
+              "every interval, so the threshold never binds here.\n");
   return 0;
 }

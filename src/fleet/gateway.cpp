@@ -252,12 +252,14 @@ void Gateway::proxy(ProxyWorker* worker) {
     first.reset();
   }
   service::HelloPayload hello;
+  obs::TraceContext hello_ctx;
   bool have_hello = false;
   if (first) {
     try {
       const auto frame = service::decode_frame(*first);
       if (frame.type == service::FrameType::kHello) {
         hello = service::decode_hello(frame.payload);
+        hello_ctx = {frame.trace_id, frame.parent_span};
         have_hello = true;
       }
     } catch (const std::exception&) {
@@ -279,8 +281,7 @@ void Gateway::proxy(ProxyWorker* worker) {
   // Adopt the hello's wire trace context for this worker: the route and
   // proxy spans below join the client's end-to-end trace, and the fleet
   // merger links them to the shard's spans via the shared trace id.
-  const service::WireTraceContext wire = service::peek_trace_context(*first);
-  obs::ScopedTraceContext trace_scope({wire.trace_id, wire.parent_span});
+  obs::ScopedTraceContext trace_scope(hello_ctx);
 
   std::shared_ptr<service::Connection> backend;
   std::string forward;

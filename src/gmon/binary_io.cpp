@@ -1,5 +1,7 @@
 #include "gmon/binary_io.hpp"
 
+#include "util/bytes.hpp"
+
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -10,66 +12,9 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4d475049;  // "IPGM" little-endian
 constexpr std::uint32_t kVersion = 1;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-  }
-}
-
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  std::int64_t i64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return static_cast<std::int64_t>(v);
-  }
-
-  std::string str(std::size_t len) {
-    need(len);
-    std::string s(bytes_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-
-  bool at_end() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  void need(std::size_t n) const {
-    if (pos_ + n > bytes_.size()) {
-      throw std::runtime_error("gmon binary: truncated snapshot");
-    }
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
+using util::put_i64;
+using util::put_str;
+using util::put_u32;
 }  // namespace
 
 std::string encode_binary(const ProfileSnapshot& snap) {
@@ -80,8 +25,7 @@ std::string encode_binary(const ProfileSnapshot& snap) {
   put_u32(out, static_cast<std::uint32_t>(snap.functions().size()));
   put_i64(out, snap.timestamp_ns());
   for (const auto& fp : snap.functions()) {
-    put_u32(out, static_cast<std::uint32_t>(fp.name.size()));
-    out.append(fp.name);
+    put_str(out, fp.name);
     put_i64(out, fp.self_ns);
     put_i64(out, fp.calls);
     put_i64(out, fp.inclusive_ns);
@@ -90,7 +34,7 @@ std::string encode_binary(const ProfileSnapshot& snap) {
 }
 
 ProfileSnapshot decode_binary(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r(bytes, "gmon binary", "truncated snapshot");
   if (r.u32() != kMagic) {
     throw std::runtime_error("gmon binary: bad magic");
   }
@@ -105,16 +49,13 @@ ProfileSnapshot decode_binary(std::string_view bytes) {
   ProfileSnapshot snap(seq, ts);
   for (std::uint32_t i = 0; i < count; ++i) {
     FunctionProfile fp;
-    const std::uint32_t name_len = r.u32();
-    fp.name = r.str(name_len);
+    fp.name = r.str();
     fp.self_ns = r.i64();
     fp.calls = r.i64();
     fp.inclusive_ns = r.i64();
     snap.upsert(std::move(fp));
   }
-  if (!r.at_end()) {
-    throw std::runtime_error("gmon binary: trailing bytes");
-  }
+  r.expect_end();
   return snap;
 }
 

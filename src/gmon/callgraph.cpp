@@ -1,5 +1,6 @@
 #include "gmon/callgraph.hpp"
 
+#include "util/bytes.hpp"
 #include "util/strings.hpp"
 
 #include <algorithm>
@@ -184,65 +185,9 @@ namespace {
 constexpr std::uint32_t kMagic = 0x47435049;  // "IPCG" little-endian
 constexpr std::uint32_t kVersion = 1;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void put_i64(std::string& out, std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-  }
-}
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  std::int64_t i64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return static_cast<std::int64_t>(v);
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    need(len);
-    std::string s(bytes_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-  bool at_end() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  void need(std::size_t n) const {
-    if (pos_ + n > bytes_.size()) {
-      throw std::runtime_error("call graph binary: truncated");
-    }
-  }
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
+using util::put_i64;
+using util::put_str;
+using util::put_u32;
 }  // namespace
 
 std::string encode_call_graph(const CallGraphSnapshot& snap) {
@@ -262,7 +207,7 @@ std::string encode_call_graph(const CallGraphSnapshot& snap) {
 }
 
 CallGraphSnapshot decode_call_graph(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r(bytes, "call graph binary");
   if (r.u32() != kMagic) {
     throw std::runtime_error("call graph binary: bad magic");
   }
@@ -281,9 +226,7 @@ CallGraphSnapshot decode_call_graph(std::string_view bytes) {
     e.time_ns = r.i64();
     snap.upsert(std::move(e));
   }
-  if (!r.at_end()) {
-    throw std::runtime_error("call graph binary: trailing bytes");
-  }
+  r.expect_end();
   return snap;
 }
 

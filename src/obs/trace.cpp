@@ -58,19 +58,30 @@ void TraceBuffer::record(const char* name, const char* category,
   const std::uint64_t index =
       next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[index % slots_.size()];
-  // Per-slot seqlock: mark writing, publish the fields, then stamp the
-  // slot with its global index so a concurrent reader can tell a torn
-  // slot (seq changed underneath it) from a settled one.
+  // Per-slot seqlock with exclusive writers: claim the slot by CAS-ing
+  // its stamp to kWriting, publish the fields, then stamp the slot with
+  // its global index so a concurrent reader can tell a torn slot (seq
+  // changed underneath it) from a settled one.
   //
-  // The release *fence* (not a release store) is what makes the mark
+  // The claim is what keeps two writers that lap the ring onto one slot
+  // from writing it at once. Without it, the first writer's final stamp
+  // would let a reader accept a copy the second writer is still
+  // overwriting. A writer that finds the slot claimed, or already
+  // stamped by a later span, drops its span instead of waiting: the
+  // ring stays lock-free, and the span lost is one the ring was about
+  // to overwrite anyway. The acquire half of the CAS orders this
+  // writer's payload stores after the previous owner's.
+  std::uint64_t seen = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if (seen == kWriting || seen > index) return;
+  } while (!slot.seq.compare_exchange_weak(seen, kWriting,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_relaxed));
+  // The release *fence* (not a release store) is what makes the claim
   // effective: it keeps the relaxed payload stores from becoming
   // visible before the kWriting mark, so a reader that managed to load
   // any of this writer's payload is guaranteed to observe seq !=
-  // `before` on its re-read and discard the copy. A release order on
-  // the kWriting store alone would order the *preceding* accesses, not
-  // the payload stores that follow it — the original form of this
-  // writer had exactly that bug.
-  slot.seq.store(kWriting, std::memory_order_relaxed);
+  // `before` on its re-read and discard the copy.
   std::atomic_thread_fence(std::memory_order_release);
   slot.name.store(name, std::memory_order_relaxed);
   slot.category.store(category, std::memory_order_relaxed);

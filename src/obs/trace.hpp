@@ -1,7 +1,9 @@
 // Fixed-capacity ring of span events, exportable as Chrome trace_event
 // JSON ("X" complete events) so a run of the daemon or a bench can be
 // dropped straight into Perfetto / chrome://tracing. The ring records
-// with one atomic fetch_add plus a per-slot seqlock, never allocates on
+// with one atomic fetch_add plus a per-slot seqlock whose writer claims
+// the slot by CAS (so writers lapping the ring never write one slot at
+// once; the later arrival drops its span), never allocates on
 // the hot path (names must be string literals or otherwise outlive the
 // buffer), and simply overwrites the oldest spans when full — a flight
 // recorder, not a log.

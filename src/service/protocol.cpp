@@ -2,108 +2,25 @@
 
 #include "gmon/binary_io.hpp"
 #include "obs/trace_context.hpp"
+#include "util/bytes.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 namespace incprof::service {
 
 namespace {
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
+using util::put_f64;
+using util::put_str;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
+using util::put_u8;
+
+/// The reader every decoder below uses; its errors name the protocol.
+util::ByteReader reader(std::string_view bytes) {
+  return util::ByteReader(bytes, "service protocol", "truncated payload");
 }
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v = static_cast<std::uint16_t>(
-          v | static_cast<std::uint16_t>(
-                  static_cast<unsigned char>(bytes_[pos_ + i]))
-                  << (8 * i));
-    }
-    pos_ += 2;
-    return v;
-  }
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::string str(std::size_t len) {
-    need(len);
-    std::string s(bytes_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-
-  void expect_end(const char* what) const {
-    if (pos_ != bytes_.size()) {
-      throw std::runtime_error(std::string("service protocol: trailing "
-                                           "bytes in ") +
-                               what);
-    }
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (pos_ + n > bytes_.size()) {
-      throw std::runtime_error("service protocol: truncated payload");
-    }
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
 
 std::string frame_of(FrameType type, std::uint32_t session,
                      std::string payload) {
@@ -145,28 +62,13 @@ std::string encode_frame(const Frame& frame) {
   return out;
 }
 
-std::string encode_frame_v1(const Frame& frame) {
-  if (frame.payload.size() > kMaxPayloadBytes) {
-    throw std::runtime_error("service protocol: payload too large");
-  }
-  std::string out;
-  out.reserve(kFrameHeaderSizeV1 + frame.payload.size());
-  put_u32(out, kProtocolMagic);
-  put_u16(out, kLegacyProtocolVersion);
-  put_u16(out, static_cast<std::uint16_t>(frame.type));
-  put_u32(out, frame.session);
-  put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  out.append(frame.payload);
-  return out;
-}
-
 Frame decode_frame(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r = reader(bytes);
   if (r.u32() != kProtocolMagic) {
     throw std::runtime_error("service protocol: bad magic");
   }
   const std::uint16_t version = r.u16();
-  if (version != kProtocolVersion && version != kLegacyProtocolVersion) {
+  if (version != kProtocolVersion) {
     throw std::runtime_error("service protocol: unsupported version " +
                              std::to_string(version));
   }
@@ -183,24 +85,22 @@ Frame decode_frame(std::string_view bytes) {
     throw std::runtime_error("service protocol: payload length " +
                              std::to_string(len) + " exceeds bound");
   }
-  if (version >= 2) {
-    f.trace_id = r.u64();
-    f.parent_span = r.u32();
-  }
+  f.trace_id = r.u64();
+  f.parent_span = r.u32();
   f.payload = r.str(len);
   r.expect_end("frame");
   return f;
 }
 
 std::uint32_t frame_payload_length(std::string_view header) {
-  if (header.size() < kFrameHeaderPrefixSize) {
+  if (header.size() < kFrameHeaderSize) {
     throw std::runtime_error("service protocol: short frame header");
   }
-  Reader r(header.substr(0, kFrameHeaderPrefixSize));
+  util::ByteReader r = reader(header);
   if (r.u32() != kProtocolMagic) {
     throw std::runtime_error("service protocol: bad magic");
   }
-  r.u16();  // version; checked by decode_frame once complete
+  r.u16();  // version: decode_frame rejects a bad one, budgeted
   r.u16();  // type
   r.u32();  // session
   const std::uint32_t len = r.u32();
@@ -211,56 +111,33 @@ std::uint32_t frame_payload_length(std::string_view header) {
   return len;
 }
 
-std::size_t frame_header_size(std::string_view prefix) {
-  if (prefix.size() < kFrameHeaderPrefixSize) {
-    throw std::runtime_error("service protocol: short frame header");
-  }
-  Reader r(prefix.substr(0, kFrameHeaderPrefixSize));
-  if (r.u32() != kProtocolMagic) {
-    throw std::runtime_error("service protocol: bad magic");
-  }
-  const std::uint16_t version = r.u16();
-  // Version 1 is the only 16-byte header; anything newer (including
-  // versions this build does not speak) frames with the current size so
-  // a corrupted version byte stays a decode_frame error — recoverable,
-  // budgeted — rather than a stream desynchronization.
-  return version == kLegacyProtocolVersion ? kFrameHeaderSizeV1
-                                           : kFrameHeaderSize;
-}
-
 WireTraceContext peek_trace_context(std::string_view bytes) noexcept {
+  // Past the size check every read below is in bounds, so none throws.
+  if (bytes.size() < kFrameHeaderSize) return {};
+  util::ByteReader r = reader(bytes);
+  if (r.u32() != kProtocolMagic || r.u16() != kProtocolVersion) return {};
+  r.u16();  // type
+  r.u32();  // session
+  r.u32();  // payload_len
   WireTraceContext ctx;
-  if (bytes.size() < kFrameHeaderSize) return ctx;
-  Reader r(bytes.substr(0, kFrameHeaderSize));
-  try {
-    if (r.u32() != kProtocolMagic) return ctx;
-    if (r.u16() < 2) return ctx;  // version 1: no trace fields
-    r.u16();                      // type
-    r.u32();                      // session
-    r.u32();                      // payload_len
-    ctx.trace_id = r.u64();
-    ctx.parent_span = r.u32();
-  } catch (...) {
-    return WireTraceContext{};
-  }
+  ctx.trace_id = r.u64();
+  ctx.parent_span = r.u32();
   return ctx;
 }
 
 std::string encode_hello(const HelloPayload& p) {
   std::string out;
-  put_u32(out, static_cast<std::uint32_t>(p.client_name.size()));
-  out.append(p.client_name);
+  put_str(out, p.client_name);
   put_u64(out, p.interval_ns);
-  out.push_back(p.subscribe_events ? 1 : 0);
+  put_u8(out, p.subscribe_events ? 1 : 0);
   put_u32(out, p.resume_session_id);
   return out;
 }
 
 HelloPayload decode_hello(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r = reader(bytes);
   HelloPayload p;
-  const std::uint32_t name_len = r.u32();
-  p.client_name = r.str(name_len);
+  p.client_name = r.str();
   p.interval_ns = r.u64();
   p.subscribe_events = r.u8() != 0;
   p.resume_session_id = r.u32();
@@ -277,7 +154,7 @@ std::string encode_hello_ack(const HelloAckPayload& p) {
 }
 
 HelloAckPayload decode_hello_ack(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r = reader(bytes);
   HelloAckPayload p;
   p.session_id = r.u32();
   p.server_version = r.u16();
@@ -308,7 +185,7 @@ std::string encode_heartbeat_batch(const HeartbeatBatchPayload& p) {
 }
 
 HeartbeatBatchPayload decode_heartbeat_batch(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r = reader(bytes);
   HeartbeatBatchPayload p;
   const std::uint32_t count = r.u32();
   p.records.reserve(count);
@@ -332,7 +209,7 @@ std::string encode_query(const QueryPayload& p) {
 }
 
 QueryPayload decode_query(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r = reader(bytes);
   QueryPayload p;
   const std::uint16_t kind = r.u16();
   if (kind < static_cast<std::uint16_t>(QueryKind::kSessionStatus) ||
@@ -348,17 +225,15 @@ QueryPayload decode_query(std::string_view bytes) {
 std::string encode_query_reply(const QueryReplyPayload& p) {
   std::string out;
   put_u16(out, static_cast<std::uint16_t>(p.kind));
-  put_u32(out, static_cast<std::uint32_t>(p.text.size()));
-  out.append(p.text);
+  put_str(out, p.text);
   return out;
 }
 
 QueryReplyPayload decode_query_reply(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r = reader(bytes);
   QueryReplyPayload p;
   p.kind = static_cast<QueryKind>(r.u16());
-  const std::uint32_t len = r.u32();
-  p.text = r.str(len);
+  p.text = r.str();
   r.expect_end("query-reply");
   return p;
 }
@@ -367,14 +242,14 @@ std::string encode_phase_event(const PhaseEventPayload& p) {
   std::string out;
   put_u32(out, p.interval);
   put_u32(out, p.phase);
-  out.push_back(p.new_phase ? 1 : 0);
-  out.push_back(p.transition ? 1 : 0);
+  put_u8(out, p.new_phase ? 1 : 0);
+  put_u8(out, p.transition ? 1 : 0);
   put_f64(out, p.distance);
   return out;
 }
 
 PhaseEventPayload decode_phase_event(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r = reader(bytes);
   PhaseEventPayload p;
   p.interval = r.u32();
   p.phase = r.u32();
@@ -390,13 +265,12 @@ std::string encode_protocol_error(const ProtocolErrorPayload& p) {
   put_u16(out, static_cast<std::uint16_t>(p.code));
   put_u32(out, p.errors);
   put_u32(out, p.budget);
-  put_u32(out, static_cast<std::uint32_t>(p.message.size()));
-  out.append(p.message);
+  put_str(out, p.message);
   return out;
 }
 
 ProtocolErrorPayload decode_protocol_error(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r = reader(bytes);
   ProtocolErrorPayload p;
   const std::uint16_t code = r.u16();
   if (code < static_cast<std::uint16_t>(ProtocolErrorCode::kMalformedFrame) ||
@@ -407,8 +281,7 @@ ProtocolErrorPayload decode_protocol_error(std::string_view bytes) {
   p.code = static_cast<ProtocolErrorCode>(code);
   p.errors = r.u32();
   p.budget = r.u32();
-  const std::uint32_t len = r.u32();
-  p.message = r.str(len);
+  p.message = r.str();
   r.expect_end("protocol-error");
   return p;
 }
@@ -464,7 +337,7 @@ std::string encode_drain_ack(const DrainAckPayload& p) {
 }
 
 DrainAckPayload decode_drain_ack(std::string_view bytes) {
-  Reader r(bytes);
+  util::ByteReader r = reader(bytes);
   DrainAckPayload p;
   p.sessions_closed = r.u32();
   r.expect_end("drain-ack");

@@ -6,20 +6,25 @@
 // little-endian header followed by `payload_len` payload bytes.
 //
 //   magic       u32  'IPSV' (0x56535049)
-//   version     u16  (currently 2; 1 still decoded)
+//   version     u16  2 — the only version this build speaks
 //   type        u16  FrameType
 //   session     u32  server-assigned session id (0 before hello-ack)
 //   payload_len u32
-//   -- version >= 2 only ------------------------------------------------
 //   trace_id    u64  distributed-trace id (0 = untraced)
 //   parent_span u32  sender's innermost span when the frame was built
-//   ---------------------------------------------------------------------
 //   payload     ...  type-specific, see the structs below
 //
-// The first 16 bytes are layout-identical across versions, so a stream
-// framer can always learn the version and payload length from that
-// prefix alone; version 2 extends the header to 28 bytes with the trace
-// context, and a version-1 frame decodes as trace_id = parent_span = 0.
+// Version 2 is the only version: version 1 (the 16-byte header without
+// trace context) is no longer decoded, and a v1 peer gets no service.
+// Stream framing is version-blind — every frame is delimited as a
+// 28-byte header plus payload_len — so any other version, whether a
+// corrupted byte or an old client, reaches decode_frame and is rejected
+// there as a malformed frame, budgeted like any other. A v1 hello is 12
+// bytes short of what the framer then waits for: if the peer sends
+// more, the daemon answers one kProtocolError ("unsupported version 1";
+// the pre-hello budget is 0) and closes; if it waits for an ack, the
+// connection ends at the daemon's read deadline or idle reaper, or
+// stays open until the peer gives up when both are off (DESIGN §8).
 //
 // Snapshot payloads reuse the gmon binary codec verbatim, so a dump file
 // written by the collector is shippable without re-encoding.
@@ -36,15 +41,9 @@
 namespace incprof::service {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x56535049;  // "IPSV"
-/// The version encode_frame emits. decode_frame also accepts version 1
-/// (the pre-tracing header) so old clients keep working unchanged.
+/// The version encode_frame emits and the only one decode_frame accepts.
 inline constexpr std::uint16_t kProtocolVersion = 2;
-inline constexpr std::uint16_t kLegacyProtocolVersion = 1;
-/// Bytes shared by every header version (magic..payload_len): the
-/// prefix a stream framer needs to delimit any frame.
-inline constexpr std::size_t kFrameHeaderPrefixSize = 16;
-inline constexpr std::size_t kFrameHeaderSizeV1 = 16;
-/// Current (version 2) header size — what encode_frame emits.
+/// Header bytes before every payload.
 inline constexpr std::size_t kFrameHeaderSize = 28;
 /// Upper bound on a single frame's payload; a decoder refuses anything
 /// larger before allocating (a corrupt length must not OOM the daemon).
@@ -89,8 +88,8 @@ bool is_known_frame_type(std::uint16_t t) noexcept;
 
 /// One decoded frame. `payload` is still type-opaque; decode it with the
 /// matching payload decoder below. `trace_id`/`parent_span` are the
-/// sender's distributed-trace context (zero on version-1 frames and
-/// untraced senders); they ride the frame through the daemon's session
+/// sender's distributed-trace context (zero from untraced senders); they
+/// ride the frame through the daemon's session
 /// queue so workers process it under the originating trace.
 struct Frame {
   FrameType type = FrameType::kBye;
@@ -105,30 +104,19 @@ struct Frame {
 /// Serializes header + payload into wire bytes (current version).
 std::string encode_frame(const Frame& frame);
 
-/// Serializes with the legacy version-1 header (no trace context) —
-/// what a pre-tracing client puts on the wire. Kept so mixed-version
-/// deployments stay testable.
-std::string encode_frame_v1(const Frame& frame);
-
-/// Parses one complete frame (version 1 or 2). Throws
-/// std::runtime_error on bad magic, unsupported version, unknown type,
-/// oversized or mismatched length, or trailing bytes.
+/// Parses one complete frame. Throws std::runtime_error on bad magic,
+/// unsupported version, unknown type, oversized or mismatched length,
+/// or trailing bytes.
 Frame decode_frame(std::string_view bytes);
 
-/// Reads the payload length out of a header prefix (≥ 16 bytes; for
-/// stream transports that must know how many bytes to wait for).
-/// Validates magic and the payload bound; throws std::runtime_error.
+/// Reads the payload length out of a frame header (≥ kFrameHeaderSize
+/// bytes; for stream transports that must know how many bytes to wait
+/// for). Validates magic and the payload bound, not the version, so a
+/// bad version stays a decode_frame error; throws std::runtime_error.
 std::uint32_t frame_payload_length(std::string_view header);
 
-/// Header size of the frame starting at `prefix` (≥ 16 bytes):
-/// 16 for version 1, 28 otherwise. Unknown future versions are framed
-/// with the current header so decode_frame — not the framer — rejects
-/// them with a budgetable typed error instead of desynchronizing the
-/// stream. Validates magic; throws std::runtime_error.
-std::size_t frame_header_size(std::string_view prefix);
-
 /// Trace context read straight off wire bytes, without decoding the
-/// frame. Never throws: short, malformed, or version-1 bytes yield
+/// frame. Never throws: short, malformed, or other-version bytes yield
 /// zeros — exactly the "untraced" context.
 struct WireTraceContext {
   std::uint64_t trace_id = 0;

@@ -2,6 +2,7 @@
 
 #include "gmon/scanner.hpp"
 #include "obs/trace_context.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
@@ -13,128 +14,18 @@ namespace incprof::service {
 
 namespace {
 
-/// Derives a nonzero per-session trace id: a hash of the client name
-/// mixed (splitmix64 finalizer) with a process-wide counter, so
-/// concurrent sessions of one client get distinct ids and the same
-/// client is still recognizable across runs by its high bits' flavor.
+/// Derives a nonzero per-session trace id: the next output of a
+/// splitmix64 stream seeded with the client name's hash, stepped by a
+/// process-wide counter, so concurrent sessions of one client get
+/// distinct ids.
 std::uint64_t derive_trace_id(const std::string& client_name) {
   static std::atomic<std::uint64_t> counter{0};
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (const char c : client_name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  std::uint64_t z =
-      h + 0x9e3779b97f4a7c15ull *
-              (counter.fetch_add(1, std::memory_order_relaxed) + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
+  const std::uint64_t z = util::splitmix64_mix(
+      util::hash_string(client_name) +
+      0x9e3779b97f4a7c15ull *
+          counter.fetch_add(1, std::memory_order_relaxed));
   return z != 0 ? z : 1;
 }
-
-std::uint64_t resolve_trace_id(const ReplayOptions& options) {
-  return options.trace_id != 0 ? options.trace_id
-                               : derive_trace_id(options.client_name);
-}
-
-}  // namespace
-
-ReplayResult replay_session(
-    Connection& conn, const std::vector<gmon::ProfileSnapshot>& snapshots,
-    const ReplayOptions& options) {
-  ReplayResult result;
-  // Originate the trace: with the context installed, every frame built
-  // below (frame_of) carries the id on the wire, and the daemon's spans
-  // for this session's frames join one end-to-end trace.
-  result.trace_id = resolve_trace_id(options);
-  obs::ScopedTraceContext trace_scope({result.trace_id, 0});
-
-  HelloPayload hello;
-  hello.client_name = options.client_name;
-  hello.interval_ns = options.interval_ns;
-  hello.subscribe_events = options.subscribe_events;
-  if (!conn.send(make_hello_frame(hello))) {
-    result.error = "send hello failed";
-    return result;
-  }
-
-  const auto ack_bytes = conn.receive();
-  if (!ack_bytes) {
-    result.error = "connection closed before hello-ack";
-    return result;
-  }
-  try {
-    const Frame ack_frame = decode_frame(*ack_bytes);
-    if (ack_frame.type != FrameType::kHelloAck) {
-      result.error = "expected hello-ack, got frame type " +
-                     std::to_string(static_cast<int>(ack_frame.type));
-      return result;
-    }
-    result.session_id = decode_hello_ack(ack_frame.payload).session_id;
-  } catch (const std::exception& e) {
-    result.error = e.what();
-    return result;
-  }
-
-  for (const auto& snap : snapshots) {
-    if (!conn.send(make_snapshot_frame(result.session_id, snap))) {
-      result.error = "connection lost mid-replay";
-      return result;
-    }
-    ++result.snapshots_sent;
-  }
-
-  for (std::size_t at = 0; at < options.heartbeats.size();
-       at += options.heartbeat_batch_size) {
-    HeartbeatBatchPayload batch;
-    const std::size_t end = std::min(
-        at + options.heartbeat_batch_size, options.heartbeats.size());
-    batch.records.assign(options.heartbeats.begin() + at,
-                         options.heartbeats.begin() + end);
-    if (!conn.send(
-            make_heartbeat_batch_frame(result.session_id, batch))) {
-      result.error = "connection lost mid-replay";
-      return result;
-    }
-    result.heartbeat_records_sent += batch.records.size();
-  }
-
-  if (options.query_status) {
-    QueryPayload query;
-    query.kind = QueryKind::kSessionStatus;
-    if (!conn.send(make_query_frame(result.session_id, query))) {
-      result.error = "connection lost before query";
-      return result;
-    }
-  }
-
-  if (!conn.send(make_bye_frame(result.session_id))) {
-    result.error = "connection lost before bye";
-    return result;
-  }
-
-  // Drain until the server closes: phase events (if subscribed) and the
-  // query reply arrive in stream order, so everything is here by EOF.
-  try {
-    while (auto bytes = conn.receive()) {
-      const Frame frame = decode_frame(*bytes);
-      if (frame.type == FrameType::kPhaseEvent) {
-        result.events.push_back(decode_phase_event(frame.payload));
-      } else if (frame.type == FrameType::kQueryReply) {
-        result.status_text = decode_query_reply(frame.payload).text;
-      }
-    }
-  } catch (const std::exception& e) {
-    result.error = e.what();
-    return result;
-  }
-
-  result.ok = true;
-  return result;
-}
-
-namespace {
 
 /// Backoff before retry number `retry` (0-based): exponential growth
 /// capped at max_backoff, scaled by seeded jitter.
@@ -150,17 +41,26 @@ std::chrono::milliseconds backoff_delay(const RetryPolicy& policy,
   return std::chrono::milliseconds(static_cast<std::int64_t>(ms));
 }
 
-}  // namespace
-
-ReplayResult replay_session_resilient(
-    const ConnectFn& connect,
+/// The one client conversation: hello -> ack -> snapshots -> heartbeat
+/// batches -> query -> bye -> drain to EOF, over up to
+/// `policy.max_attempts` connections from `connect`. A lost connection
+/// reconnects with backoff and resumes the session from the server's
+/// snapshot cursor; a resume the server no longer knows restarts the
+/// session from scratch.
+ReplayResult converse(
+    const std::function<std::shared_ptr<Connection>()>& connect,
     const std::vector<gmon::ProfileSnapshot>& snapshots,
     const ReplayOptions& options, const RetryPolicy& policy) {
   ReplayResult result;
-  result.trace_id = resolve_trace_id(options);
+  // Originate the trace: with the context installed, every frame built
+  // below (frame_of) carries the id on the wire, and the daemon's spans
+  // for this session's frames join one end-to-end trace.
+  result.trace_id = options.trace_id != 0
+                        ? options.trace_id
+                        : derive_trace_id(options.client_name);
   obs::ScopedTraceContext trace_scope({result.trace_id, 0});
   util::Rng rng(policy.seed);
-  std::unique_ptr<Connection> conn;
+  std::shared_ptr<Connection> conn;
   std::size_t snap_cursor = 0;  // next snapshot index to send
   std::size_t hb_cursor = 0;    // next heartbeat record index
   bool query_sent = false;
@@ -173,7 +73,9 @@ ReplayResult replay_session_resilient(
       if (result.connect_attempts >= policy.max_attempts) {
         result.error = "gave up after " +
                        std::to_string(result.connect_attempts) +
-                       " attempts: " + last_error;
+                       (result.connect_attempts == 1 ? " attempt: "
+                                                     : " attempts: ") +
+                       last_error;
         return result;
       }
       if (result.connect_attempts > 0) {
@@ -302,8 +204,10 @@ ReplayResult replay_session_resilient(
       continue;
     }
 
-    // Drain until the server closes; after a clean bye the session is
-    // over, so a drain failure is terminal (there is nothing to resume).
+    // Drain until the server closes: phase events (if subscribed) and
+    // the query reply arrive in stream order, so everything is here by
+    // EOF. After a clean bye the session is over, so a drain failure is
+    // terminal (there is nothing to resume).
     try {
       while (auto bytes = conn->receive()) {
         const Frame frame = decode_frame(*bytes);
@@ -320,6 +224,30 @@ ReplayResult replay_session_resilient(
     result.ok = true;
     return result;
   }
+}
+
+}  // namespace
+
+ReplayResult replay_session(
+    Connection& conn, const std::vector<gmon::ProfileSnapshot>& snapshots,
+    const ReplayOptions& options) {
+  // The single-attempt case: the caller's connection, borrowed (no-op
+  // deleter), is the only attempt.
+  RetryPolicy once;
+  once.max_attempts = 1;
+  const auto borrow = [&conn] {
+    return std::shared_ptr<Connection>(&conn, [](Connection*) {});
+  };
+  return converse(borrow, snapshots, options, once);
+}
+
+ReplayResult replay_session_resilient(
+    const ConnectFn& connect,
+    const std::vector<gmon::ProfileSnapshot>& snapshots,
+    const ReplayOptions& options, const RetryPolicy& policy) {
+  return converse(
+      [&connect] { return std::shared_ptr<Connection>(connect()); },
+      snapshots, options, policy);
 }
 
 std::vector<gmon::ProfileSnapshot> load_replay_dumps(

@@ -1,8 +1,9 @@
-// Client-side session replay: drive one connection through the full
-// protocol conversation (hello / snapshots / heartbeat batches / query /
-// bye) from a dump directory or an in-memory snapshot stream. Shared by
-// incprof_client, incprofd --selftest, the loopback tests and the
-// throughput bench, so every consumer speaks the protocol identically.
+// Client-side session replay: drive the full protocol conversation
+// (hello / snapshots / heartbeat batches / query / bye), reconnecting
+// and resuming when a connection is lost, from a dump directory or an
+// in-memory snapshot stream. The conversation is written once and
+// shared by incprof_client, incprofd --selftest, the examples and the
+// tests, so every consumer speaks the protocol identically.
 #pragma once
 
 #include "ekg/heartbeat.hpp"
@@ -54,23 +55,15 @@ struct ReplayResult {
   std::vector<PhaseEventPayload> events;
   /// The kSessionStatus reply text (query_status only).
   std::string status_text;
-  /// Successful resumes after a lost connection (resilient replay only).
+  /// Successful resumes after a lost connection.
   std::size_t reconnects = 0;
-  /// Connection attempts consumed, including the first (resilient only).
+  /// Connection attempts consumed, including the first.
   std::size_t connect_attempts = 0;
   /// The trace id this session's frames carried (options.trace_id, or
   /// the derived one when that was 0). Grep for it in daemon logs or
   /// the merged /trace.json.
   std::uint64_t trace_id = 0;
 };
-
-/// Replays `snapshots` (cumulative, in seq order) over `conn` as one
-/// complete session, then reads the connection to EOF collecting pushed
-/// events and query replies. Blocking; run one per thread for parallel
-/// sessions. Never throws for peer loss — inspect `ok`/`error`.
-ReplayResult replay_session(Connection& conn,
-                            const std::vector<gmon::ProfileSnapshot>& snapshots,
-                            const ReplayOptions& options = {});
 
 /// Reconnect policy for replay_session_resilient: exponential backoff
 /// with deterministic (seeded) jitter so retry schedules are replayable
@@ -91,18 +84,30 @@ struct RetryPolicy {
 /// signal a failed attempt (it is retried with backoff).
 using ConnectFn = std::function<std::unique_ptr<Connection>()>;
 
-/// Like replay_session, but survives connection loss: on a failed send
-/// the client reconnects with exponential backoff + jitter and resumes
-/// the same session (hello.resume_session_id), rewinding to the
-/// server's snapshot cursor from the hello-ack so no interval is sent
-/// twice or skipped. A resume rejected with kUnknownSession (session
-/// quarantined, reaped, or never detached) falls back to a fresh
-/// session and replays from the start. Gives up — `ok == false` — when
-/// `policy.max_attempts` connection attempts are exhausted.
+/// Replays `snapshots` (cumulative, in seq order) as one complete
+/// session — hello, snapshots, heartbeat batches, optional status query,
+/// bye — then reads the connection to EOF collecting pushed events and
+/// query replies. Blocking; run one per thread for parallel sessions.
+/// Never throws for peer loss — inspect `ok`/`error`.
+///
+/// Survives connection loss: on a failed send the client reconnects
+/// with exponential backoff + jitter and resumes the same session
+/// (hello.resume_session_id), rewinding to the server's snapshot cursor
+/// from the hello-ack so no interval is sent twice or skipped. A resume
+/// rejected with kUnknownSession (session quarantined, reaped, or never
+/// detached) falls back to a fresh session and replays from the start.
+/// Gives up — `ok == false` — when `policy.max_attempts` connection
+/// attempts are exhausted.
 ReplayResult replay_session_resilient(
     const ConnectFn& connect,
     const std::vector<gmon::ProfileSnapshot>& snapshots,
     const ReplayOptions& options = {}, const RetryPolicy& policy = {});
+
+/// The single-attempt case of replay_session_resilient over a
+/// caller-owned connection: a lost connection ends the replay.
+ReplayResult replay_session(Connection& conn,
+                            const std::vector<gmon::ProfileSnapshot>& snapshots,
+                            const ReplayOptions& options = {});
 
 /// Loads a collector dump directory (gmon-NNNNNN.out files, seq order)
 /// for replay. Throws std::runtime_error on unreadable input.

@@ -206,7 +206,7 @@ void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
     // Adopt the frame's wire trace context for the rest of this
     // iteration: the decode and enqueue spans become children of the
     // sender's span, joining the client's end-to-end trace (zeros for
-    // v1 peers — the spans still record, just untraced).
+    // untraced or undecodable frames — the spans still record).
     const WireTraceContext wire = peek_trace_context(*bytes);
     obs::ScopedTraceContext trace_scope({wire.trace_id, wire.parent_span});
 

@@ -1,8 +1,7 @@
 // One client session inside incprofd: the connection's decoded frames
-// flow through a bounded queue (drop-and-count on overflow — the same
-// back-pressure policy as ekg::StreamSink, because a monitor must never
-// stall its producers) into a per-session OnlinePhaseTracker that only
-// ever runs on one worker thread at a time. The tracker is the single
+// flow through a bounded queue (drop-and-count on overflow, because a
+// monitor must never stall its producers) into a per-session
+// OnlinePhaseTracker that only ever runs on one worker thread at a time. The tracker is the single
 // holder of the session's phase status: every status row, line and
 // assignment list is derived from it under status_mu_.
 #pragma once

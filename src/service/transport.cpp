@@ -9,15 +9,14 @@ void FrameBuffer::append(std::string_view bytes) {
 }
 
 std::optional<std::string> FrameBuffer::next_frame() {
-  if (buffered() < kFrameHeaderPrefixSize) return std::nullopt;
+  if (buffered() < kFrameHeaderSize) return std::nullopt;
   const std::string_view view =
       std::string_view(buffer_).substr(pos_);
   // Throws on bad magic / oversize — a byte-stream that desynchronizes
   // is unrecoverable, so fail loudly at the first corrupt header. The
-  // header size is version-dependent (16 bytes for legacy v1 frames, 28
-  // for v2+), but both facts live in the shared 16-byte prefix.
-  const std::uint32_t payload_len = frame_payload_length(view);
-  const std::size_t total = frame_header_size(view) + payload_len;
+  // version is not checked here: a bad one is still one delimited
+  // frame, which decode_frame rejects as a budgeted error.
+  const std::size_t total = kFrameHeaderSize + frame_payload_length(view);
   if (view.size() < total) return std::nullopt;
   std::string frame(view.substr(0, total));
   pos_ += total;

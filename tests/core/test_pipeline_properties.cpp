@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 namespace incprof::core {
@@ -18,6 +19,13 @@ struct World {
   std::uint64_t seed;
   double jitter;
 };
+
+// gtest prints each parameter into its test's listed name (and so into
+// the ctest name). Without this it would print the object's raw bytes,
+// a heap pointer among them, and the names would change with ASLR.
+void PrintTo(const World& w, std::ostream* os) {
+  *os << w.app << " seed=" << w.seed << " jitter=" << w.jitter;
+}
 
 std::string world_name(const ::testing::TestParamInfo<World>& info) {
   std::string app = info.param.app;

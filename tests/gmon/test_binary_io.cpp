@@ -1,5 +1,7 @@
 #include "gmon/binary_io.hpp"
 
+#include "../hex.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +11,8 @@
 
 namespace incprof::gmon {
 namespace {
+
+using incprof::testing::to_hex;
 
 ProfileSnapshot sample_snapshot() {
   ProfileSnapshot s(42, 987654321);
@@ -31,6 +35,30 @@ TEST(BinaryIo, RoundTripPreservesEverything) {
   const ProfileSnapshot s = sample_snapshot();
   const ProfileSnapshot back = decode_binary(encode_binary(s));
   EXPECT_EQ(back, s);
+}
+
+// The dump file format is read back across versions of this code base,
+// so its bytes are pinned: little-endian u32 magic "IPGM", version 1,
+// seq, function count, i64 timestamp, then per function a u32-length
+// name and three i64 fields.
+TEST(BinaryIo, EncodingIsPinnedByteForByte) {
+  ProfileSnapshot s(0x01020304, -2);
+  FunctionProfile fp;
+  fp.name = "f";
+  fp.self_ns = 1;
+  fp.calls = -1;
+  fp.inclusive_ns = 0x0102030405060708;
+  s.upsert(fp);
+  EXPECT_EQ(to_hex(encode_binary(s)),
+            "4950474d"           // magic
+            "01000000"           // version
+            "04030201"           // seq
+            "01000000"           // function count
+            "feffffffffffffff"   // timestamp_ns
+            "01000000" "66"      // name
+            "0100000000000000"   // self_ns
+            "ffffffffffffffff"   // calls
+            "0807060504030201"); // inclusive_ns
 }
 
 TEST(BinaryIo, EmptySnapshotRoundTrips) {

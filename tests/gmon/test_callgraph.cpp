@@ -1,5 +1,7 @@
 #include "gmon/callgraph.hpp"
 
+#include "../hex.hpp"
+
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -16,6 +18,8 @@ CallEdge edge(std::string caller, std::string callee, std::int64_t count,
   e.time_ns = time_ns;
   return e;
 }
+
+using incprof::testing::to_hex;
 
 CallGraphSnapshot sample_graph() {
   CallGraphSnapshot g(3, 5'000'000'000);
@@ -111,6 +115,25 @@ TEST(CallGraph, BinaryRoundTripPreservesSeqAndTimestamp) {
   EXPECT_EQ(back, g);
   EXPECT_EQ(back.seq(), 3u);
   EXPECT_EQ(back.timestamp_ns(), 5'000'000'000);
+}
+
+// callgraph.bin is written by the collector and read back by the
+// analyzer, so its bytes are pinned: little-endian u32 magic "IPCG",
+// version 1, seq, edge count, i64 timestamp, then per edge two
+// u32-length names and two i64 fields.
+TEST(CallGraph, BinaryEncodingIsPinnedByteForByte) {
+  CallGraphSnapshot g(0x01020304, -2);
+  g.upsert(edge("a", "bc", -1, 0x0102030405060708));
+  EXPECT_EQ(to_hex(encode_call_graph(g)),
+            "49504347"            // magic
+            "01000000"            // version
+            "04030201"            // seq
+            "01000000"            // edge count
+            "feffffffffffffff"    // timestamp_ns
+            "01000000" "61"       // caller
+            "02000000" "6263"     // callee
+            "ffffffffffffffff"    // count
+            "0807060504030201");  // time_ns
 }
 
 TEST(CallGraph, BinaryRejectsCorruption) {

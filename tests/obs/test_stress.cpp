@@ -44,16 +44,9 @@ TEST(TraceStress, EightWritersWhileExporting) {
   const std::size_t per_writer = 4000 * soak_factor();
   std::atomic<bool> stop{false};
 
-  std::vector<std::thread> writers;
-  for (std::uint64_t w = 0; w < 8; ++w) {
-    writers.emplace_back([&buffer, per_writer, w] {
-      for (std::size_t i = 0; i < per_writer; ++i) {
-        const std::uint64_t stamp = w * 1'000'000'000ull + i;
-        buffer.record(kNames[w], "stress", stamp, stamp);
-      }
-    });
-  }
-
+  // The writers hold off until the exporter has finished one export,
+  // so every run overlaps writes with exports (without the wait, fast
+  // writers could finish before the exporter's first pass).
   std::atomic<std::size_t> exports{0};
   std::thread exporter([&] {
     while (!stop.load(std::memory_order_relaxed)) {
@@ -62,6 +55,19 @@ TEST(TraceStress, EightWritersWhileExporting) {
       exports.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  std::vector<std::thread> writers;
+  for (std::uint64_t w = 0; w < 8; ++w) {
+    writers.emplace_back([&buffer, &exports, per_writer, w] {
+      while (exports.load(std::memory_order_relaxed) == 0) {
+        std::this_thread::yield();
+      }
+      for (std::size_t i = 0; i < per_writer; ++i) {
+        const std::uint64_t stamp = w * 1'000'000'000ull + i;
+        buffer.record(kNames[w], "stress", stamp, stamp);
+      }
+    });
+  }
+
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       for (const SpanEvent& ev : buffer.events()) {

@@ -1,9 +1,13 @@
 #include "service/protocol.hpp"
 
+#include "../hex.hpp"
+
 #include <gtest/gtest.h>
 
 namespace incprof::service {
 namespace {
+
+using incprof::testing::to_hex;
 
 gmon::ProfileSnapshot sample_snapshot() {
   gmon::ProfileSnapshot snap(7, 7'000'000'000);
@@ -32,6 +36,71 @@ TEST(Protocol, FrameRoundTripsByteForByte) {
   EXPECT_EQ(back, f);
   // Re-encoding reproduces identical wire bytes.
   EXPECT_EQ(encode_frame(back), wire);
+}
+
+// The wire format is what independently built clients and daemons
+// share, so its bytes are pinned: the 28-byte little-endian header
+// (magic "IPSV", version 2, type, session, payload length, trace id,
+// parent span) and payloads that use every field width.
+TEST(Protocol, WireBytesArePinned) {
+  Frame f;
+  f.type = FrameType::kSnapshot;
+  f.session = 0x01020304;
+  f.trace_id = 0x1122334455667788ull;
+  f.parent_span = 0x9abcdef0u;
+  f.payload = "xy";
+  EXPECT_EQ(to_hex(encode_frame(f)),
+            "49505356"           // magic
+            "0200"               // version
+            "0300"               // type
+            "04030201"           // session
+            "02000000"           // payload_len
+            "8877665544332211"   // trace_id
+            "f0debc9a"           // parent_span
+            "7879");             // payload
+
+  HelloPayload hello;
+  hello.client_name = "c";
+  hello.interval_ns = 0x0102030405060708ull;
+  hello.subscribe_events = true;
+  hello.resume_session_id = 9;
+  EXPECT_EQ(to_hex(encode_hello(hello)),
+            "01000000" "63"  // client_name
+            "0807060504030201"
+            "01"
+            "09000000");
+
+  HeartbeatBatchPayload batch;
+  ekg::HeartbeatRecord rec;
+  rec.interval = 3;
+  rec.id = 4;
+  rec.count = 5;
+  rec.mean_duration_ns = 1.5;
+  rec.max_duration_ns = -2.0;
+  batch.records.push_back(rec);
+  EXPECT_EQ(to_hex(encode_heartbeat_batch(batch)),
+            "01000000"           // record count
+            "03000000" "04000000"
+            "0500000000000000"
+            "000000000000f83f"   // 1.5
+            "00000000000000c0"); // -2.0
+
+  ProtocolErrorPayload err;
+  err.code = ProtocolErrorCode::kQuarantined;
+  err.errors = 2;
+  err.budget = 1;
+  err.message = "no";
+  EXPECT_EQ(to_hex(encode_protocol_error(err)),
+            "0400" "02000000" "01000000" "02000000" "6e6f");
+
+  PhaseEventPayload ev;
+  ev.interval = 6;
+  ev.phase = 1;
+  ev.new_phase = true;
+  ev.distance = 0.25;
+  EXPECT_EQ(to_hex(encode_phase_event(ev)),
+            "06000000" "01000000" "01" "00"
+            "000000000000d03f");  // 0.25
 }
 
 TEST(Protocol, HeaderCarriesPayloadLength) {

@@ -1,12 +1,6 @@
-// Version-2 framing: the trace context rides the header, version-1
-// frames still decode (as untraced), and a pre-tracing client speaks to
-// a current daemon end to end — the mixed-version deployment the
-// protocol doc promises.
+// Version-2 framing: the trace context rides the header, and every
+// other version — the pre-tracing version 1 included — is rejected.
 #include "service/protocol.hpp"
-
-#include "../core/synthetic.hpp"
-#include "service/loopback.hpp"
-#include "service/server.hpp"
 
 #include <gtest/gtest.h>
 
@@ -30,24 +24,8 @@ TEST(ProtocolV2, RoundTripsTraceContext) {
   const Frame frame = traced_frame();
   const std::string bytes = encode_frame(frame);
   EXPECT_EQ(bytes.size(), kFrameHeaderSize + frame.payload.size());
-  EXPECT_EQ(frame_header_size(bytes), kFrameHeaderSize);
   const Frame back = decode_frame(bytes);
   EXPECT_EQ(back, frame);
-}
-
-TEST(ProtocolV2, LegacyEncodeDecodesAsUntraced) {
-  const Frame frame = traced_frame();
-  const std::string bytes = encode_frame_v1(frame);
-  EXPECT_EQ(bytes.size(), kFrameHeaderSizeV1 + frame.payload.size());
-  EXPECT_EQ(frame_header_size(bytes), kFrameHeaderSizeV1);
-  const Frame back = decode_frame(bytes);
-  EXPECT_EQ(back.type, frame.type);
-  EXPECT_EQ(back.session, frame.session);
-  EXPECT_EQ(back.payload, frame.payload);
-  // The v1 header has no room for the context: it must decode to zero,
-  // not to leftover bytes.
-  EXPECT_EQ(back.trace_id, 0u);
-  EXPECT_EQ(back.parent_span, 0u);
 }
 
 TEST(ProtocolV2, PeekReadsContextWithoutDecoding) {
@@ -58,100 +36,33 @@ TEST(ProtocolV2, PeekReadsContextWithoutDecoding) {
 }
 
 TEST(ProtocolV2, PeekNeverThrows) {
-  // Short, empty, wrong-magic, and v1 inputs all peek as untraced.
+  // Short, empty, wrong-magic, and other-version inputs all peek as
+  // untraced.
   EXPECT_EQ(peek_trace_context("").trace_id, 0u);
   EXPECT_EQ(peek_trace_context("short").trace_id, 0u);
   std::string garbage(kFrameHeaderSize, '\xff');
   EXPECT_EQ(peek_trace_context(garbage).trace_id, 0u);
-  EXPECT_EQ(peek_trace_context(encode_frame_v1(traced_frame())).trace_id,
-            0u);
-  // A v2 header truncated after the prefix: the context is not there
-  // to read, so the peek reports untraced rather than over-reading.
+  std::string other_version = encode_frame(traced_frame());
+  other_version[4] = 1;
+  EXPECT_EQ(peek_trace_context(other_version).trace_id, 0u);
+  // A header cut one byte short: the context is not all there to read,
+  // so the peek reports untraced rather than over-reading.
   const std::string truncated =
-      encode_frame(traced_frame()).substr(0, kFrameHeaderPrefixSize);
+      encode_frame(traced_frame()).substr(0, kFrameHeaderSize - 1);
   EXPECT_EQ(peek_trace_context(truncated).trace_id, 0u);
 }
 
-TEST(ProtocolV2, MixedVersionFramesShareOneStream) {
-  // A framer must delimit v1 and v2 frames interleaved on one stream.
-  const std::string v2 = encode_frame(traced_frame());
-  Frame bye;
-  bye.type = FrameType::kBye;
-  bye.session = 12;
-  const std::string v1 = encode_frame_v1(bye);
-  const std::string stream = v2 + v1 + v2;
-
-  std::size_t off = 0;
-  int decoded = 0;
-  while (off < stream.size()) {
-    const std::string_view rest(stream.data() + off, stream.size() - off);
-    const std::size_t header = frame_header_size(rest);
-    const std::size_t total =
-        header + frame_payload_length(rest.substr(0, kFrameHeaderPrefixSize));
-    const Frame frame = decode_frame(rest.substr(0, total));
-    EXPECT_EQ(frame.session, 12u);
-    off += total;
-    ++decoded;
-  }
-  EXPECT_EQ(decoded, 3);
-}
-
 TEST(ProtocolV2, DecodeRejectsUnsupportedVersion) {
-  std::string bytes = encode_frame(traced_frame());
-  bytes[4] = 0x7f;  // clobber the version field
-  EXPECT_THROW(decode_frame(bytes), std::runtime_error);
-}
-
-// The acceptance scenario for mixed fleets: an old client that has
-// never heard of trace context opens a session against a current
-// daemon, streams v1 snapshot frames, and gets its phases — the daemon
-// treats the whole session as untraced instead of rejecting it.
-TEST(ProtocolV2, OldClientSpeaksToNewDaemonEndToEnd) {
-  LoopbackHub hub;
-  auto listener = hub.make_listener();
-  ServerConfig cfg;
-  cfg.worker_threads = 1;
-  Server server(*listener, cfg);
-  server.start();
-
-  auto conn = hub.connect();
-  ASSERT_NE(conn, nullptr);
-
-  HelloPayload hello;
-  hello.client_name = "legacy-client";
-  Frame hello_frame;
-  hello_frame.type = FrameType::kHello;
-  hello_frame.payload = encode_hello(hello);
-  ASSERT_TRUE(conn->send(encode_frame_v1(hello_frame)));
-  const auto ack_bytes = conn->receive();
-  ASSERT_TRUE(ack_bytes.has_value());
-  const Frame ack = decode_frame(*ack_bytes);
-  ASSERT_EQ(ack.type, FrameType::kHelloAck);
-  const std::uint32_t session = decode_hello_ack(ack.payload).session_id;
-  ASSERT_NE(session, 0u);
-
-  const auto snapshots = core::testing::cumulative_from_intervals(
-      core::testing::three_phase_workload(4));
-  for (const auto& snap : snapshots) {
-    Frame frame;
-    frame.type = FrameType::kSnapshot;
-    frame.session = session;
-    frame.payload = encode_snapshot(snap);
-    ASSERT_TRUE(conn->send(encode_frame_v1(frame)));
+  const std::string v2 = encode_frame(traced_frame());
+  std::string clobbered = v2;
+  clobbered[4] = 0x7f;  // clobber the version field
+  // A version-1 frame as a pre-tracing client wrote it: the 16-byte
+  // header (magic, version 1, type, session, length), then the payload.
+  std::string v1 = v2.substr(0, 16) + traced_frame().payload;
+  v1[4] = 1;
+  for (const std::string& bytes : {clobbered, v1}) {
+    EXPECT_THROW(decode_frame(bytes), std::runtime_error);
   }
-  Frame bye;
-  bye.type = FrameType::kBye;
-  bye.session = session;
-  ASSERT_TRUE(conn->send(encode_frame_v1(bye)));
-  // The daemon closes the connection after the bye; wait for EOF so
-  // every frame has been consumed before the counters are read.
-  while (conn->receive().has_value()) {
-  }
-  server.stop();
-
-  EXPECT_EQ(server.metrics().counter_value("frames_rejected"), 0u);
-  EXPECT_EQ(server.metrics().counter_value("snapshots_observed"),
-            snapshots.size());
 }
 
 }  // namespace

@@ -164,22 +164,13 @@ int main(int argc, char** argv) {
         // Pinned id + session index keeps concurrent sessions'
         // traces distinct while still grep-able from the flag value.
         opts.trace_id = trace_id == 0 ? 0 : trace_id + i;
-        try {
-          if (retries > 1) {
-            service::RetryPolicy policy;
-            policy.max_attempts = retries;
-            policy.initial_backoff = backoff;
-            policy.seed = 0x5eed5eedULL + i;
-            results[i] = service::replay_session_resilient(
-                [&] { return service::tcp_connect(host, port); },
-                snapshots, opts, policy);
-          } else {
-            auto conn = service::tcp_connect(host, port);
-            results[i] = service::replay_session(*conn, snapshots, opts);
-          }
-        } catch (const std::exception& e) {
-          results[i].error = e.what();
-        }
+        service::RetryPolicy policy;
+        policy.max_attempts = retries;
+        policy.initial_backoff = backoff;
+        policy.seed = 0x5eed5eedULL + i;
+        results[i] = service::replay_session_resilient(
+            [&] { return service::tcp_connect(host, port); }, snapshots,
+            opts, policy);
       });
     }
     for (auto& t : threads) t.join();
