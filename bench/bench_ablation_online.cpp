@@ -2,56 +2,13 @@
 // deployment goal (tracking production behaviour as it happens) needs an
 // online detector; this bench measures how much phase quality the
 // streaming tracker gives up relative to the offline pipeline on the
-// same dumps.
+// same dumps. The text comes from bench::render_online_ablation, which
+// Reproduction.OnlineTracker pins against bench/ref/ablation_online.txt.
 #include "bench_common.hpp"
-
-#include "cluster/quality.hpp"
-#include "core/online.hpp"
-#include "core/transitions.hpp"
-#include "util/strings.hpp"
-#include "util/table.hpp"
 
 #include <cstdio>
 
 int main() {
-  using namespace incprof;
-  std::printf(
-      "==== Ablation: offline k-means vs online leader clustering ====\n\n");
-
-  util::TextTable t;
-  t.set_header({"App", "offline k", "online k", "ARI(off,on)",
-                "transitions", "mean dwell (s)"});
-  for (std::size_t c = 1; c < 6; ++c) t.set_align(c, util::Align::kRight);
-
-  for (const auto& name : apps::app_names()) {
-    auto app = apps::make_app(name, {});
-    const apps::ProfiledRun run =
-        apps::run_profiled(*app, bench::paper_run_config());
-    const auto offline = core::analyze_snapshots(
-        run.snapshots, bench::paper_pipeline_config());
-
-    core::OnlinePhaseTracker tracker;
-    for (const auto& snap : run.snapshots) tracker.observe(snap);
-
-    const double ari = cluster::adjusted_rand_index(
-        offline.detection.assignments, tracker.assignments());
-
-    const auto model = core::PhaseTransitionModel::from_assignments(
-        tracker.assignments(), tracker.num_phases());
-    double dwell = 0.0;
-    for (std::size_t p = 0; p < tracker.num_phases(); ++p) {
-      dwell += model.mean_dwell(p) * model.occupancy(p);
-    }
-
-    t.add_row({name, std::to_string(offline.detection.num_phases),
-               std::to_string(tracker.num_phases()),
-               util::format_fixed(ari, 3),
-               std::to_string(model.num_transitions()),
-               util::format_fixed(dwell, 1)});
-  }
-  std::printf("%s\n", t.render().c_str());
-  std::printf("expectation: the streaming tracker recovers the offline "
-              "phase structure (high ARI) one dump at a time with bounded "
-              "memory — the property a deployed IncProf needs.\n");
+  std::fputs(incprof::bench::render_online_ablation().c_str(), stdout);
   return 0;
 }

@@ -64,4 +64,10 @@ PaperFigure run_figure(const PaperApp& paper,
 /// per lane), as bench/ref/fig_<app>_{discovered,manual}.csv pins it.
 std::string render_series_csv(const ekg::HeartbeatSeries& series);
 
+/// The online-tracker ablation over the five paper apps: offline vs
+/// online phase count, their ARI, and the online transition model's
+/// transitions and mean dwell, as bench_ablation_online prints it and
+/// bench/ref/ablation_online.txt pins it.
+std::string render_online_ablation();
+
 }  // namespace incprof::bench

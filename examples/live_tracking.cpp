@@ -25,8 +25,12 @@ int main(int argc, char** argv) {
               app_name.c_str());
   const apps::ProfiledRun run = apps::run_profiled(*app);
 
-  // Stream the dumps through the online tracker as a monitor would.
-  core::OnlinePhaseTracker tracker;
+  // Stream the dumps through the online tracker as a monitor would. A
+  // window as long as the run keeps every interval's assignment for the
+  // transition model below.
+  core::OnlineConfig cfg;
+  cfg.assignment_window = run.snapshots.size();
+  core::OnlinePhaseTracker tracker(cfg);
   std::printf("live phase log:\n");
   for (const auto& snap : run.snapshots) {
     const core::OnlineObservation obs = tracker.observe(snap);
@@ -43,10 +47,12 @@ int main(int argc, char** argv) {
   for (const auto s : tracker.phase_sizes()) std::printf(" %zu", s);
   std::printf("\n\n");
 
+  // Model over phase slots: a merged-away slot keeps its id in the
+  // assignment stream.
   const auto model = core::PhaseTransitionModel::from_assignments(
-      tracker.assignments(), tracker.num_phases());
+      tracker.recent_assignments(), tracker.num_phase_slots());
   std::printf("phase-transition model:\n%s\n", model.render().c_str());
-  for (std::size_t p = 0; p < tracker.num_phases(); ++p) {
+  for (std::size_t p = 0; p < model.num_phases(); ++p) {
     const std::size_t next = model.likely_successor(p);
     if (next < model.num_phases()) {
       std::printf("phase %zu typically hands off to phase %zu\n", p, next);

@@ -14,44 +14,26 @@ OnlinePhaseTracker::OnlinePhaseTracker(OnlineConfig config)
     : config_(config) {
   if (config_.sketch_width == 0) config_.sketch_width = 1;
   if (config_.assignment_window == 0) config_.assignment_window = 1;
-  if (config_.streaming) {
-    // Pre-size the bounded state once: the ring never grows, the
-    // interval vector is always sketch_width wide, and at most
-    // max_phases centroids of that width ever exist.
-    ring_.assign(config_.assignment_window, 0);
-    v_.reserve(config_.sketch_width);
-    centroids_.reserve(config_.max_phases);
-    phases_.reserve(config_.max_phases);
-    assign_ptrs_.reserve(config_.max_phases);
-    assign_slots_.reserve(config_.max_phases);
-    assign_d2_.reserve(config_.max_phases);
-  }
-}
-
-std::size_t OnlinePhaseTracker::column_for(const std::string& name) {
-  const auto [it, inserted] = columns_.try_emplace(name, columns_.size());
-  return it->second;
+  // Pre-size the bounded state once: the interval vector is always
+  // sketch_width wide, and at most max_phases centroids of that width
+  // ever exist. The ring grows in observe() instead.
+  v_.reserve(config_.sketch_width);
+  centroids_.reserve(config_.max_phases);
+  phases_.reserve(config_.max_phases);
+  assign_ptrs_.reserve(config_.max_phases);
+  assign_slots_.reserve(config_.max_phases);
+  assign_d2_.reserve(config_.max_phases);
 }
 
 void OnlinePhaseTracker::vectorize(const gmon::ProfileSnapshot& delta) {
-  if (config_.streaming) {
-    // Fixed-width sketch: bucket by the fleet-convention string hash
-    // (FNV-1a + splitmix64); colliding functions accumulate. A session
-    // discovering 100k distinct functions still does fixed work here.
-    v_.assign(config_.sketch_width, 0.0);
-    for (const auto& fp : delta.functions()) {
-      const std::size_t bucket = static_cast<std::size_t>(
-          util::hash_string(fp.name) % config_.sketch_width);
-      v_[bucket] += static_cast<double>(fp.self_ns) / 1e9;
-    }
-    return;
-  }
-  // Exact reference mode: one column per distinct name, growing forever.
-  v_.assign(columns_.size(), 0.0);
+  // Fixed-width sketch: bucket by the fleet-convention string hash
+  // (FNV-1a + splitmix64); colliding functions accumulate. A session
+  // discovering 100k distinct functions still does fixed work here.
+  v_.assign(config_.sketch_width, 0.0);
   for (const auto& fp : delta.functions()) {
-    const std::size_t col = column_for(fp.name);
-    if (col >= v_.size()) v_.resize(columns_.size(), 0.0);
-    v_[col] = static_cast<double>(fp.self_ns) / 1e9;
+    const std::size_t bucket = static_cast<std::size_t>(
+        util::hash_string(fp.name) % config_.sketch_width);
+    v_[bucket] += static_cast<double>(fp.self_ns) / 1e9;
   }
 }
 
@@ -91,30 +73,24 @@ OnlineObservation OnlinePhaseTracker::observe_impl(
     vectorize(delta_);
   }
 
-  // Nearest live centroid (missing trailing columns read as zero).
+  // Nearest live centroid.
   double best = std::numeric_limits<double>::max();
   std::size_t best_phase = kNoPhase;
   {
     obs::ScopedSpan span("online.assign", "analysis");
-    // Fast path: when every live centroid is exactly v_.size() wide
-    // (always true in streaming mode; true in exact mode until a new
-    // function appears), one batched SIMD call computes all squared
-    // distances. The sqrt still runs per-candidate *before* the
-    // strict-< compare: two distinct d2 can round to the same d, and
-    // comparing d2 directly would then pick a different first winner.
+    // Every live centroid is sketch_width wide, so one batched SIMD
+    // call computes all squared distances. The sqrt still runs
+    // per-candidate *before* the strict-< compare: two distinct d2 can
+    // round to the same d, and comparing d2 directly would then pick a
+    // different first winner.
     assign_ptrs_.clear();
     assign_slots_.clear();
-    bool uniform = true;
-    for (std::size_t p = 0; p < centroids_.size() && uniform; ++p) {
+    for (std::size_t p = 0; p < centroids_.size(); ++p) {
       if (phases_[p].merged_into != kNoPhase) continue;
-      if (centroids_[p].size() != v_.size()) {
-        uniform = false;
-        break;
-      }
       assign_ptrs_.push_back(centroids_[p].data());
       assign_slots_.push_back(p);
     }
-    if (uniform && !assign_ptrs_.empty()) {
+    if (!assign_ptrs_.empty()) {
       assign_d2_.resize(assign_ptrs_.size());
       cluster::simd::kernels().squared_euclidean(
           v_.data(), assign_ptrs_.data(), assign_ptrs_.size(), v_.size(),
@@ -124,23 +100,6 @@ OnlineObservation OnlinePhaseTracker::observe_impl(
         if (d < best) {
           best = d;
           best_phase = assign_slots_[t];
-        }
-      }
-    } else if (!uniform) {
-      for (std::size_t p = 0; p < centroids_.size(); ++p) {
-        if (phases_[p].merged_into != kNoPhase) continue;
-        const auto& c = centroids_[p];
-        double d2 = 0.0;
-        const std::size_t n = v_.size();
-        for (std::size_t j = 0; j < n; ++j) {
-          const double cj = j < c.size() ? c[j] : 0.0;
-          const double diff = v_[j] - cj;
-          d2 += diff * diff;
-        }
-        const double d = std::sqrt(d2);
-        if (d < best) {
-          best = d;
-          best_phase = p;
         }
       }
     }
@@ -166,18 +125,16 @@ OnlineObservation OnlinePhaseTracker::observe_impl(
       obs.distance = best;
       auto& c = centroids_[slot];
       PhaseState& ph = phases_[slot];
-      if (c.size() < v_.size()) c.resize(v_.size(), 0.0);
       ++ph.count;
       const double alpha =
           config_.ewma_alpha > 0.0
               ? config_.ewma_alpha
               : 1.0 / static_cast<double>(ph.count);
       for (std::size_t j = 0; j < c.size(); ++j) {
-        const double vj = j < v_.size() ? v_[j] : 0.0;
-        c[j] += alpha * (vj - c[j]);
+        c[j] += alpha * (v_[j] - c[j]);
       }
       ph.dispersion += alpha * (best - ph.dispersion);
-      if (config_.streaming && config_.merge_ratio > 0.0) {
+      if (config_.merge_ratio > 0.0) {
         merge_overlapping_phases();
         slot = resolve_phase(slot);
       }
@@ -191,10 +148,13 @@ OnlineObservation OnlinePhaseTracker::observe_impl(
         num_intervals_ > 0 && resolve_phase(last_phase_) != slot;
     if (obs.transition) ++transitions_;
     last_phase_ = slot;
-    if (config_.streaming) {
-      ring_[num_intervals_ % ring_.size()] = slot;
+    // The ring grows with the session until it holds assignment_window
+    // entries, so a short session pays only for its own length (the
+    // daemon keeps every served session's tracker); then it wraps.
+    if (ring_.size() < config_.assignment_window) {
+      ring_.push_back(slot);
     } else {
-      history_.push_back(slot);
+      ring_[num_intervals_ % ring_.size()] = slot;
     }
     ++num_intervals_;
   }
@@ -205,12 +165,9 @@ double OnlinePhaseTracker::centroid_distance(std::size_t a,
                                              std::size_t b) const {
   const auto& ca = centroids_[a];
   const auto& cb = centroids_[b];
-  const std::size_t n = std::max(ca.size(), cb.size());
   double d2 = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double x = j < ca.size() ? ca[j] : 0.0;
-    const double y = j < cb.size() ? cb[j] : 0.0;
-    d2 += (x - y) * (x - y);
+  for (std::size_t j = 0; j < ca.size(); ++j) {
+    d2 += (ca[j] - cb[j]) * (ca[j] - cb[j]);
   }
   return std::sqrt(d2);
 }
@@ -257,11 +214,9 @@ void OnlinePhaseTracker::merge_phases(std::size_t survivor,
   const double w = ws + wt;
   const double d = centroid_distance(survivor, victim);
   auto& cs = centroids_[survivor];
-  auto& ct = centroids_[victim];
-  if (cs.size() < ct.size()) cs.resize(ct.size(), 0.0);
+  const auto& ct = centroids_[victim];
   for (std::size_t j = 0; j < cs.size(); ++j) {
-    const double y = j < ct.size() ? ct[j] : 0.0;
-    cs[j] = (ws * cs[j] + wt * y) / w;
+    cs[j] = (ws * cs[j] + wt * ct[j]) / w;
   }
   // Combined dispersion: count-weighted member dispersions plus each
   // side's centroid shift toward the merged mean.
@@ -292,12 +247,6 @@ std::vector<std::size_t> OnlinePhaseTracker::phase_sizes() const {
 }
 
 std::vector<std::size_t> OnlinePhaseTracker::recent_assignments() const {
-  if (!config_.streaming) {
-    const std::size_t n =
-        std::min(history_.size(), config_.assignment_window);
-    return {history_.end() - static_cast<std::ptrdiff_t>(n),
-            history_.end()};
-  }
   const std::size_t n = std::min(num_intervals_, ring_.size());
   std::vector<std::size_t> out(n);
   for (std::size_t k = 0; k < n; ++k) {
@@ -341,22 +290,11 @@ std::size_t OnlinePhaseTracker::state_bytes() const {
   };
   std::size_t b = sizeof(*this);
   b += snap_bytes(previous_) + snap_bytes(delta_);
-  for (const auto& [name, col] : columns_) {
-    // Rough per-node cost of a std::map<string, size_t> entry.
-    b += name.capacity() + sizeof(std::size_t) + 48;
-  }
   b += v_.capacity() * sizeof(double);
   for (const auto& c : centroids_) b += c.capacity() * sizeof(double);
   b += phases_.capacity() * sizeof(PhaseState);
-  b += history_.capacity() * sizeof(std::size_t);
   b += ring_.capacity() * sizeof(std::size_t);
   return b;
-}
-
-std::vector<std::string> OnlinePhaseTracker::function_names() const {
-  std::vector<std::string> names(columns_.size());
-  for (const auto& [name, col] : columns_) names[col] = name;
-  return names;
 }
 
 }  // namespace incprof::core

@@ -9,40 +9,27 @@
 // incrementally, and assigns each completed interval to a phase. It
 // never revisits old intervals.
 //
-// Two modes, selected by OnlineConfig::streaming:
-//
-//  - **Exact mode** (default, the offline-comparable reference): one
-//    feature column per distinct function name, leader clustering
-//    against ragged growing centroids, full per-interval assignment
-//    history retained. Per-dump work and memory grow with the function
-//    universe and the session length — columns_, every centroid, and
-//    assignments() all scale with how long the client has been
-//    connected. Fine for offline replay and tests; NOT bounded.
-//
-//  - **Streaming mode** (`streaming = true`, the deployment path):
-//    function names are hash-bucketed into a fixed `sketch_width`
-//    vector (FNV-1a + splitmix64, the fleet HashRing construction;
-//    colliding functions accumulate into the same bucket), centroids
-//    are fixed-width with EWMA decay (sequential k-means), phases can
-//    be *merged* online when an incrementally-maintained simplified
-//    Davies-Bouldin pair term says two of them overlap, and the
-//    assignment history is a fixed ring plus exact incremental
-//    counters. observe() does O(|dump| + max_phases * sketch_width)
-//    work and allocates nothing on the steady path, so per-interval
-//    cost and memory stay bounded no matter how many intervals or
-//    distinct functions a session produces.
+// Its state is bounded however long a session runs and however many
+// distinct functions it reports. Function names are hash-bucketed into a
+// fixed `sketch_width` vector (FNV-1a + splitmix64, the fleet HashRing
+// construction; colliding functions accumulate into the same bucket),
+// centroids are fixed-width with running-mean or EWMA updates
+// (sequential k-means), phases can be *merged* online when an
+// incrementally-maintained simplified Davies-Bouldin pair term says two
+// of them overlap, and the assignment history is a fixed ring plus exact
+// counters. observe() does O(|dump| + max_phases * sketch_width) work
+// and allocates nothing on the steady path. The offline pipeline
+// (core::analyze_snapshots) stays the reference it is compared against.
 #pragma once
 
 #include "gmon/snapshot.hpp"
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 namespace incprof::core {
 
-/// Streaming-tracker parameters.
+/// Online-tracker parameters.
 struct OnlineConfig {
   /// A new interval joins its nearest phase when the Euclidean distance
   /// (raw self-seconds space) is at most this; otherwise a new phase
@@ -56,24 +43,16 @@ struct OnlineConfig {
   /// running means when 0 (default), or exponentially-weighted with
   /// this alpha in (0, 1].
   double ewma_alpha = 0.0;
-
-  // --- streaming mode (bounded-memory deployment path) ------------------
-
-  /// Master switch: hash-sketched fixed-width features, bounded
-  /// assignment ring, and online phase merging. Off by default — the
-  /// exact growing-column mode above stays the reference the offline
-  /// pipeline is compared against.
-  bool streaming = false;
-  /// Feature-vector width in streaming mode. Function names are bucketed
-  /// by hash; collisions add their self-time into the same bucket (an
-  /// unbiased sketch of the exact vector's distances for the bucket
-  /// counts used here). Typical: 256 or 1024.
+  /// Feature-vector width. Function names are bucketed by hash;
+  /// collisions add their self-time into the same bucket. DESIGN §9
+  /// records the measured collision rates behind the default.
   std::size_t sketch_width = 256;
-  /// Per-interval assignments retained in streaming mode (a ring; exact
-  /// counters continue past it). Exact mode keeps the full history.
+  /// Per-interval assignments retained (a ring; the counters keep
+  /// counting past it). A caller that wants a whole run's history sets
+  /// this to at least the run length.
   std::size_t assignment_window = 1024;
-  /// Online k selection: in streaming mode, two phases are merged when
-  /// their simplified Davies-Bouldin pair term
+  /// Online k selection: two phases are merged when their simplified
+  /// Davies-Bouldin pair term
   /// (dispersion_i + dispersion_j) / centroid_distance(i, j) exceeds
   /// this ratio (both phases need kMergeMinCount members first).
   /// A pair of well-separated clusters scores < 1; overlapping ones
@@ -100,8 +79,8 @@ struct OnlineObservation {
   double distance = 0.0;
 };
 
-/// Streaming phase tracker over cumulative dumps (see the mode
-/// discussion at the top of this header).
+/// Bounded-state phase tracker over cumulative dumps (see the top of
+/// this header).
 class OnlinePhaseTracker {
  public:
   static constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
@@ -117,18 +96,11 @@ class OnlinePhaseTracker {
   /// (the daemon decodes a fresh snapshot per frame anyway).
   OnlineObservation observe(gmon::ProfileSnapshot&& snap);
 
-  /// Full per-interval phase history. Exact mode only — in streaming
-  /// mode history is bounded and this is empty; use
-  /// recent_assignments() and the counters instead.
-  const std::vector<std::size_t>& assignments() const noexcept {
-    return history_;
-  }
-
   /// The last min(num_intervals, assignment_window) assignments, oldest
-  /// first. Works in both modes (exact mode: tail of the full history).
+  /// first. Ids are phase slots: a slot merged away keeps its id here.
   std::vector<std::size_t> recent_assignments() const;
 
-  /// Number of live phases (streaming merges can lower this).
+  /// Number of live phases (merges can lower this).
   std::size_t num_phases() const noexcept { return live_phases_; }
 
   /// Phase slots ever opened — the exclusive upper bound of phase ids
@@ -156,8 +128,8 @@ class OnlinePhaseTracker {
   /// or the final survivor after following any chain of online merges.
   std::size_t resolve_phase(std::size_t phase) const;
 
-  /// Copy of a phase slot's centroid (exact mode: ragged, trailing
-  /// columns implicitly zero; streaming mode: sketch_width wide).
+  /// Copy of a phase slot's centroid: sketch_width wide while live,
+  /// empty once merged away.
   std::vector<double> centroid(std::size_t phase) const;
 
   /// Incrementally-maintained simplified Davies-Bouldin score over live
@@ -167,13 +139,14 @@ class OnlinePhaseTracker {
   double davies_bouldin() const;
 
   /// Approximate resident bytes of all tracker state (buffers counted
-  /// at capacity). Bounded in streaming mode; grows with the function
-  /// universe and session length in exact mode.
+  /// at capacity). Only the retained previous dump and its difference
+  /// buffer scale with the dump's size; nothing grows with session
+  /// length or with the names hashed into the sketch.
   std::size_t state_bytes() const;
 
-  /// The function universe seen so far (column order of centroids).
-  /// Exact mode only; empty in streaming mode (the sketch is one-way).
-  std::vector<std::string> function_names() const;
+  /// Always empty: the sketch is one-way and keeps no names. Exists
+  /// only for perfbench's `core.functions` row.
+  std::vector<std::string> function_names() const { return {}; }
 
   const OnlineConfig& config() const noexcept { return config_; }
 
@@ -186,7 +159,6 @@ class OnlinePhaseTracker {
 
   OnlineObservation observe_impl(const gmon::ProfileSnapshot& snap,
                                  gmon::ProfileSnapshot* movable);
-  std::size_t column_for(const std::string& name);
   void vectorize(const gmon::ProfileSnapshot& delta);
   void merge_overlapping_phases();
   void merge_phases(std::size_t survivor, std::size_t victim);
@@ -195,11 +167,8 @@ class OnlinePhaseTracker {
   OnlineConfig config_;
   gmon::ProfileSnapshot previous_;
   gmon::ProfileSnapshot delta_;  // reused difference buffer
-  std::map<std::string, std::size_t> columns_;  // exact mode only
-  std::vector<double> v_;  // reused interval vector (sketch or columns)
-  // Exact mode: ragged centroids, resized to the column count on use.
-  // Streaming mode: every centroid is sketch_width wide.
-  std::vector<std::vector<double>> centroids_;
+  std::vector<double> v_;  // reused sketch_width-wide interval vector
+  std::vector<std::vector<double>> centroids_;  // sketch_width wide each
   std::vector<PhaseState> phases_;
   std::size_t live_phases_ = 0;
 
@@ -210,9 +179,8 @@ class OnlinePhaseTracker {
   std::vector<std::size_t> assign_slots_;
   std::vector<double> assign_d2_;
 
-  // Assignment state: full history (exact mode), bounded ring
-  // (streaming mode), and exact counters (both modes).
-  std::vector<std::size_t> history_;
+  // Assignment state: a ring of at most assignment_window entries plus
+  // exact counters.
   std::vector<std::size_t> ring_;
   std::size_t num_intervals_ = 0;
   std::size_t transitions_ = 0;

@@ -38,6 +38,9 @@ class PhaseTransitionModel {
   /// Mean dwell: average length of a maximal consecutive run of `phase`.
   double mean_dwell(std::size_t phase) const noexcept;
 
+  /// Number of intervals in the sequence.
+  std::size_t total_intervals() const noexcept { return total_intervals_; }
+
   /// Number of phase changes in the sequence.
   std::size_t num_transitions() const noexcept { return transitions_; }
 

@@ -150,9 +150,11 @@ void Server::accept_loop() {
   while (auto accepted = listener_.accept()) {
     metrics_.counter("connections_accepted").add();
     reap_retired_handlers();
-    if (cfg_.read_timeout.count() > 0) {
-      accepted->set_receive_timeout(cfg_.read_timeout);
-    }
+    // reader_loop drops back to read_timeout once a hello or resume is
+    // accepted.
+    accepted->set_receive_timeout(cfg_.read_timeout.count() > 0
+                                      ? cfg_.read_timeout
+                                      : ServerConfig::kPreHelloReadTimeout);
     auto handler = std::make_shared<Handler>(
         std::shared_ptr<Connection>(std::move(accepted)));
     handler->last_activity_ns.store(obs::now_ns(),
@@ -287,6 +289,7 @@ void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
       if (hello.resume_session_id != 0) {
         session = resume_session(handler->conn, hello);
         if (!session) break;
+        conn.set_receive_timeout(cfg_.read_timeout);
         continue;
       }
       const std::uint32_t id = next_session_id_.fetch_add(1);
@@ -295,6 +298,7 @@ void Server::reader_loop(const std::shared_ptr<Handler>& handler) {
                     hello.subscribe_events && cfg_.send_phase_events);
       session->note_trace_id(frame.trace_id);
       session->attach(handler->conn);
+      conn.set_receive_timeout(cfg_.read_timeout);
       {
         util::MutexLock lock(sessions_mu_);
         sessions_.emplace(id, session);

@@ -60,8 +60,15 @@ struct ServerConfig {
   std::chrono::milliseconds idle_timeout{0};
   /// Receive deadline armed on every accepted connection when the
   /// transport supports one (TCP does; the loopback relies on the
-  /// reaper). Zero leaves reads unbounded.
+  /// reaper). Zero leaves a session's reads unbounded; until its hello
+  /// or resume is accepted, kPreHelloReadTimeout bounds them instead.
   std::chrono::milliseconds read_timeout{0};
+  /// The receive deadline of a connection with no accepted hello or
+  /// resume yet, when read_timeout is zero: a peer that sends part of a
+  /// frame (or nothing) and waits is closed instead of holding a reader
+  /// thread and an fd. Sessionless control queries (gateway pulls,
+  /// drains) use one connection each, well inside it.
+  static constexpr std::chrono::milliseconds kPreHelloReadTimeout{3000};
 
   // --- observability ----------------------------------------------------
 

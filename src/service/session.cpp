@@ -134,8 +134,7 @@ FleetSessionInfo Session::row() const {
 
 std::vector<std::size_t> Session::assignments() const {
   util::MutexLock lock(status_mu_);
-  return tracker_.config().streaming ? tracker_.recent_assignments()
-                                     : tracker_.assignments();
+  return tracker_.recent_assignments();
 }
 
 std::string Session::status_line() const {

@@ -31,7 +31,7 @@ struct SessionConfig {
   /// Last-N structured events retained per session for postmortems and
   /// the /sessions/<id>.json live view.
   std::size_t flight_recorder_capacity = 64;
-  /// Streaming-tracker parameters for this session's tracker.
+  /// Parameters of this session's online tracker.
   core::OnlineConfig tracker;
 };
 
@@ -122,9 +122,8 @@ class Session {
   /// The session's fleet row, derived from the tracker.
   FleetSessionInfo row() const;
 
-  /// Phase assignments published so far: the full history with the
-  /// exact tracker, the last assignment_window entries with the
-  /// streaming one (the row's interval count keeps the exact total).
+  /// The tracker's last assignment_window phase assignments, oldest
+  /// first (the row's interval count keeps the exact total).
   std::vector<std::size_t> assignments() const;
 
   /// The session's flight recorder (internally synchronized).

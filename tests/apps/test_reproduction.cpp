@@ -3,8 +3,8 @@
 // prints and writes must equal the committed goldens in bench/ref/.
 // The table must match both on the serial engine with the scalar SIMD
 // tier and on four threads with the host's detected tier (the DESIGN §6
-// determinism contract, on real apps). EXPERIMENTS.md says how to
-// regenerate a golden.
+// determinism contract, on real apps). The online-tracker ablation is
+// pinned the same way. EXPERIMENTS.md says how to regenerate a golden.
 #include "bench_common.hpp"
 
 #include "cluster/simd/simd.hpp"
@@ -59,6 +59,13 @@ TEST(Reproduction, minife) { reproduce("minife"); }
 TEST(Reproduction, miniamr) { reproduce("miniamr"); }
 TEST(Reproduction, lammps) { reproduce("lammps"); }
 TEST(Reproduction, gadget) { reproduce("gadget"); }
+
+// The online-tracker ablation: phase counts, ARI against the offline
+// pipeline, transitions and dwell on all five apps, as
+// bench_ablation_online prints them.
+TEST(Reproduction, OnlineTracker) {
+  EXPECT_EQ(bench::render_online_ablation(), read_ref("ablation_online.txt"));
+}
 
 }  // namespace
 }  // namespace incprof

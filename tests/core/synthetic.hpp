@@ -4,6 +4,7 @@
 #pragma once
 
 #include "core/intervals.hpp"
+#include "core/online.hpp"
 
 #include <cmath>
 #include <map>
@@ -68,6 +69,18 @@ inline std::vector<IntervalSpec> three_phase_workload(std::size_t n_per) {
                          {"flush", {0.3 + wobble(i, 0.5) / 2, 50}}});
   }
   return intervals;
+}
+
+/// The whole run's assignments from an online tracker driven directly
+/// (its window covers every interval): the oracle the service tests
+/// hold a session's published assignments to.
+inline std::vector<std::size_t> direct_assignments(
+    const std::vector<gmon::ProfileSnapshot>& snaps) {
+  OnlineConfig cfg;
+  cfg.assignment_window = snaps.size();
+  OnlinePhaseTracker tracker(cfg);
+  for (const auto& snap : snaps) tracker.observe(snap);
+  return tracker.recent_assignments();
 }
 
 }  // namespace incprof::core::testing

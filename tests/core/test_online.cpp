@@ -1,16 +1,30 @@
+// Online-tracker basics: phase opening, the k_max cap, transitions,
+// counters, and hand-computed centroid updates. Sketch-specific
+// behaviour (bounded state, collisions, merges, the ring) lives in
+// test_online_streaming.cpp.
 #include "core/online.hpp"
 
 #include "cluster/quality.hpp"
 #include "core/pipeline.hpp"
 #include "synthetic.hpp"
+#include "util/hash.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <set>
+#include <string>
 
 namespace incprof::core {
 namespace {
 
 using core::testing::cumulative_from_intervals;
 using core::testing::three_phase_workload;
+
+/// The sketch bucket a function name lands in.
+std::size_t bucket(const std::string& name, std::size_t width) {
+  return static_cast<std::size_t>(util::hash_string(name) % width);
+}
 
 TEST(OnlineTracker, OpensOnePhasePerDistinctBehaviour) {
   OnlinePhaseTracker tracker;
@@ -24,13 +38,15 @@ TEST(OnlineTracker, OpensOnePhasePerDistinctBehaviour) {
 
 TEST(OnlineTracker, AgreesWithOfflineKMeans) {
   const auto snaps = cumulative_from_intervals(three_phase_workload(20));
-  OnlinePhaseTracker tracker;
+  OnlineConfig cfg;
+  cfg.assignment_window = snaps.size();
+  OnlinePhaseTracker tracker(cfg);
   for (const auto& snap : snaps) tracker.observe(snap);
 
   const PhaseAnalysis offline = analyze_snapshots(snaps);
-  ASSERT_EQ(tracker.assignments().size(),
-            offline.detection.assignments.size());
-  EXPECT_GT(cluster::adjusted_rand_index(tracker.assignments(),
+  const auto online = tracker.recent_assignments();
+  ASSERT_EQ(online.size(), offline.detection.assignments.size());
+  EXPECT_GT(cluster::adjusted_rand_index(online,
                                          offline.detection.assignments),
             0.95);
 }
@@ -62,6 +78,7 @@ TEST(OnlineTracker, FirstIntervalIsPhaseZero) {
 TEST(OnlineTracker, MaxPhasesCapForcesNearestAssignment) {
   OnlineConfig cfg;
   cfg.max_phases = 2;
+  cfg.merge_ratio = 0.0;  // both slots must stay live
   OnlinePhaseTracker tracker(cfg);
   for (const auto& snap :
        cumulative_from_intervals(three_phase_workload(8))) {
@@ -80,6 +97,13 @@ TEST(OnlineTracker, CapReachedFarIntervalJoinsNearestQuietly) {
   // would alert on).
   OnlineConfig cfg;
   cfg.max_phases = 2;
+  cfg.merge_ratio = 0.0;
+  const std::size_t w = cfg.sketch_width;
+  // Distances below assume three separate sketch buckets.
+  ASSERT_EQ(std::set<std::size_t>({bucket("alpha", w), bucket("beta", w),
+                                   bucket("gamma", w)})
+                .size(),
+            3u);
   OnlinePhaseTracker tracker(cfg);
   const auto snaps = cumulative_from_intervals({
       {{"alpha", {1.0, 1}}},
@@ -93,10 +117,10 @@ TEST(OnlineTracker, CapReachedFarIntervalJoinsNearestQuietly) {
 
   const auto third = tracker.observe(snaps[2]);
   EXPECT_FALSE(third.new_phase);
-  EXPECT_GT(third.distance, cfg.new_phase_distance);
+  EXPECT_NEAR(third.distance, std::sqrt(26.0), 1e-9);  // |(0, 1, 5)|
   EXPECT_LT(third.phase, 2u);
   EXPECT_EQ(tracker.num_phases(), 2u);
-  EXPECT_EQ(tracker.assignments().size(), 3u);
+  EXPECT_EQ(tracker.recent_assignments().size(), 3u);
 }
 
 TEST(OnlineTracker, LooseThresholdMergesEverything) {
@@ -110,30 +134,46 @@ TEST(OnlineTracker, LooseThresholdMergesEverything) {
   EXPECT_EQ(tracker.num_phases(), 1u);
 }
 
-TEST(OnlineTracker, UniverseGrowsWithNewFunctions) {
-  OnlinePhaseTracker tracker;
+TEST(OnlineTracker, EveryFunctionLandsInItsSketchBucket) {
+  // The sketch keeps no name table: each function's self time goes to
+  // its hashed bucket. The workload's five functions hash to five
+  // buckets, and the live centroids carry weight in exactly those.
+  OnlineConfig cfg;
+  cfg.merge_ratio = 0.0;
+  OnlinePhaseTracker tracker(cfg);
   for (const auto& snap :
        cumulative_from_intervals(three_phase_workload(5))) {
     tracker.observe(snap);
   }
-  const auto names = tracker.function_names();
-  // init/helper appear first, solve and output/flush later; all must be
-  // in the universe by the end.
-  EXPECT_EQ(names.size(), 5u);
+  std::set<std::size_t> expected;
+  for (const char* name : {"init", "helper", "solve", "output", "flush"}) {
+    expected.insert(bucket(name, cfg.sketch_width));
+  }
+  ASSERT_EQ(expected.size(), 5u);
+  std::set<std::size_t> occupied;
+  for (std::size_t p = 0; p < tracker.num_phase_slots(); ++p) {
+    const auto c = tracker.centroid(p);
+    ASSERT_EQ(c.size(), cfg.sketch_width);
+    for (std::size_t j = 0; j < c.size(); ++j) {
+      if (c[j] != 0.0) occupied.insert(j);
+    }
+  }
+  EXPECT_EQ(occupied, expected);
+  EXPECT_TRUE(tracker.function_names().empty());
 }
 
 TEST(OnlineTracker, PhaseSizesMatchAssignmentRecount) {
   // phase_sizes() comes from exact incremental counters; pin it against
   // a brute-force recount of the retained history so the counters can
   // never drift from the assignment stream.
-  OnlinePhaseTracker tracker;
-  for (const auto& snap :
-       cumulative_from_intervals(three_phase_workload(12))) {
-    tracker.observe(snap);
-  }
+  const auto snaps = cumulative_from_intervals(three_phase_workload(12));
+  OnlineConfig cfg;
+  cfg.assignment_window = snaps.size();
+  OnlinePhaseTracker tracker(cfg);
+  for (const auto& snap : snaps) tracker.observe(snap);
   const auto sizes = tracker.phase_sizes();
   std::vector<std::size_t> recount(tracker.num_phase_slots(), 0);
-  for (const std::size_t a : tracker.assignments()) ++recount[a];
+  for (const std::size_t a : tracker.recent_assignments()) ++recount[a];
   EXPECT_EQ(sizes, recount);
   std::size_t total = 0;
   for (const std::size_t s : sizes) total += s;
@@ -157,8 +197,8 @@ TEST(OnlineTracker, EwmaDecayMatchesHandComputedReference) {
   for (const auto& snap : snaps) tracker.observe(snap);
   ASSERT_EQ(tracker.num_phases(), 1u);
   const auto c = tracker.centroid(0);
-  ASSERT_EQ(c.size(), 1u);
-  EXPECT_NEAR(c[0], 1.6875, 1e-9);
+  ASSERT_EQ(c.size(), cfg.sketch_width);
+  EXPECT_NEAR(c[bucket("f", cfg.sketch_width)], 1.6875, 1e-9);
 }
 
 TEST(OnlineTracker, ForceJoinAtCapDragsCentroidTowardMember) {
@@ -178,8 +218,8 @@ TEST(OnlineTracker, ForceJoinAtCapDragsCentroidTowardMember) {
   EXPECT_FALSE(obs.new_phase);
   EXPECT_NEAR(obs.distance, 4.0, 1e-9);
   const auto c = tracker.centroid(0);
-  ASSERT_EQ(c.size(), 1u);
-  EXPECT_NEAR(c[0], 3.0, 1e-9);
+  ASSERT_EQ(c.size(), cfg.sketch_width);
+  EXPECT_NEAR(c[bucket("f", cfg.sketch_width)], 3.0, 1e-9);
 }
 
 TEST(OnlineTracker, EwmaCentroidsTrackDrift) {

@@ -1,19 +1,20 @@
-// Streaming-mode tracker tests: bounded state, sketch behavior,
-// online merges, the move-observe path, the ring/counter contract, and
-// phase-boundary parity with the offline pipeline.
-// Exact mode is covered by test_online.cpp; everything here runs with
-// OnlineConfig::streaming = true unless it is explicitly comparing the
-// two modes.
+// Online-tracker tests of what the sketch makes bounded: fixed state,
+// sketch widths and collisions, online merges, the move-observe path,
+// the ring/counter contract, and phase-boundary parity with the offline
+// pipeline. The basics are in test_online.cpp.
 #include "core/online.hpp"
 
 #include "cluster/quality.hpp"
 #include "core/pipeline.hpp"
+#include "core/transitions.hpp"
 #include "synthetic.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,6 @@ using core::testing::three_phase_workload;
 
 OnlineConfig streaming_config(std::size_t sketch_width = 256) {
   OnlineConfig cfg;
-  cfg.streaming = true;
   cfg.sketch_width = sketch_width;
   return cfg;
 }
@@ -111,10 +111,10 @@ std::vector<gmon::ProfileSnapshot> phased_workload(std::uint64_t seed,
 }
 
 TEST(OnlineStreaming, StateStaysFlatOverLongSession) {
-  // Same fixed function universe forever: after warm-up, observe() must
-  // not grow any buffer — state_bytes() is *identical* at interval 1000
-  // and interval 3000. The exact tracker keeps the full history, so its
-  // state keeps growing on the same input.
+  // Same fixed function universe forever: once warm (the assignment
+  // ring full), observe() must not grow any buffer — state_bytes() is
+  // *identical* at interval 1050 and interval 2550. A session shorter
+  // than the window pays for a shorter ring.
   // Sample at whole-cycle boundaries: previous_/delta_ mirror the last
   // cumulative dump, whose function count varies *within* a cycle.
   const auto cycle = cumulative_from_intervals(three_phase_workload(5));
@@ -125,24 +125,24 @@ TEST(OnlineStreaming, StateStaysFlatOverLongSession) {
     }
   };
 
+  OnlinePhaseTracker short_session(streaming_config(64));
+  replay(short_session, 1);
+
   OnlinePhaseTracker streaming(streaming_config(64));
-  replay(streaming, 20);
+  replay(streaming, 70);
+  ASSERT_GE(streaming.num_intervals(),
+            streaming.config().assignment_window);
   const std::size_t warm = streaming.state_bytes();
   replay(streaming, 100);
   EXPECT_EQ(streaming.state_bytes(), warm);
-  EXPECT_EQ(streaming.num_intervals(), 120 * n);
-
-  OnlinePhaseTracker exact;
-  replay(exact, 20);
-  const std::size_t exact_warm = exact.state_bytes();
-  replay(exact, 100);
-  EXPECT_GT(exact.state_bytes(), exact_warm);
+  EXPECT_EQ(streaming.num_intervals(), 170 * n);
+  EXPECT_LT(short_session.state_bytes(), warm);
 }
 
 TEST(OnlineStreaming, SketchStateIsFixedWidthUnderFunctionChurn) {
-  // Every interval introduces a fresh function name. The exact tracker
-  // grows a column (and widens centroids) per name; the sketch keeps
-  // every centroid at sketch_width and learns no name table.
+  // Every interval introduces a fresh function name. The offline
+  // pipeline grows one feature column per name; the sketch keeps every
+  // centroid at sketch_width and learns no name table.
   std::vector<IntervalSpec> intervals;
   for (int i = 0; i < 400; ++i) {
     IntervalSpec spec{{"main_loop", {0.8, 10}}};
@@ -152,38 +152,43 @@ TEST(OnlineStreaming, SketchStateIsFixedWidthUnderFunctionChurn) {
   const auto snaps = cumulative_from_intervals(intervals);
 
   OnlinePhaseTracker streaming(streaming_config(32));
-  OnlinePhaseTracker exact;
-  for (const auto& snap : snaps) {
-    streaming.observe(snap);
-    exact.observe(snap);
-  }
+  for (const auto& snap : snaps) streaming.observe(snap);
   EXPECT_TRUE(streaming.function_names().empty());
   for (std::size_t p = 0; p < streaming.num_phase_slots(); ++p) {
     EXPECT_EQ(streaming.centroid(p).size(), 32u);
   }
-  EXPECT_EQ(exact.function_names().size(), 401u);
-  // Both pay for the cumulative input snapshots; only the exact tracker
-  // pays for the name table, ragged centroids, and full history on top.
-  EXPECT_LT(streaming.state_bytes(), exact.state_bytes());
+
+  const PhaseAnalysis offline = analyze_snapshots(snaps);
+  EXPECT_EQ(offline.intervals.num_functions(), 401u);
+  // The tracker pays for the last cumulative dump it differences
+  // against, not for a matrix over every interval and name.
+  EXPECT_LT(streaming.state_bytes(), offline.intervals.num_intervals() *
+                                         offline.intervals.num_functions() *
+                                         sizeof(double));
 }
 
-TEST(OnlineStreaming, RecoversThreePhaseWorkloadLikeExactMode) {
-  // With 5 distinct functions in 256 buckets, collisions are unlikely
-  // and the sketched distances match the exact ones closely — the two
-  // modes should produce (near-)identical assignment streams.
+TEST(OnlineStreaming, RecoversThreePhaseWorkloadLikeTheOfflinePipeline) {
+  // The workload's 5 functions land in 5 buckets at each width below,
+  // so the sketched distances are the exact ones and the tracker finds
+  // the offline pipeline's three phases.
   const auto snaps = cumulative_from_intervals(three_phase_workload(20));
-  auto cfg = streaming_config(256);
-  cfg.assignment_window = snaps.size();
-  OnlinePhaseTracker streaming(cfg);
-  OnlinePhaseTracker exact;
-  for (const auto& snap : snaps) {
-    streaming.observe(snap);
-    exact.observe(snap);
+  const PhaseAnalysis offline = analyze_snapshots(snaps);
+  for (const std::size_t width : {64u, 256u, 1024u}) {
+    std::set<std::uint64_t> buckets;
+    for (const char* name : {"init", "helper", "solve", "output", "flush"}) {
+      buckets.insert(util::hash_string(name) % width);
+    }
+    ASSERT_EQ(buckets.size(), 5u) << width;
+    auto cfg = streaming_config(width);
+    cfg.assignment_window = snaps.size();
+    OnlinePhaseTracker streaming(cfg);
+    for (const auto& snap : snaps) streaming.observe(snap);
+    EXPECT_EQ(streaming.num_phases(), 3u) << width;
+    EXPECT_GT(cluster::adjusted_rand_index(streaming.recent_assignments(),
+                                           offline.detection.assignments),
+              0.95)
+        << width;
   }
-  EXPECT_EQ(streaming.num_phases(), 3u);
-  EXPECT_GT(cluster::adjusted_rand_index(streaming.recent_assignments(),
-                                         exact.assignments()),
-            0.95);
 }
 
 TEST(OnlineStreaming, WidthOneCollapsesEveryFunctionIntoOneBucket) {
@@ -241,6 +246,29 @@ TEST(OnlineStreaming, MergesOverlappingPhasesAndRedirectsSlots) {
   EXPECT_EQ(sizes[survivor], tracker.num_intervals());
 }
 
+TEST(OnlineStreaming, TransitionModelAcceptsMergedSlots) {
+  // After a merge, the assignment stream still holds the merged-away
+  // slot's id while num_phases() has dropped; the transition model must
+  // be sized by slots, as incprof_analyze --online does.
+  auto cfg = streaming_config(8);
+  cfg.max_phases = 2;
+  cfg.new_phase_distance = 0.5;
+  cfg.ewma_alpha = 0.5;
+  cfg.merge_ratio = 0.6;
+  const auto snaps =
+      cumulative_from_intervals(drifting_together_workload());
+  cfg.assignment_window = snaps.size();
+  OnlinePhaseTracker tracker(cfg);
+  for (const auto& snap : snaps) tracker.observe(snap);
+  ASSERT_LT(tracker.num_phases(), tracker.num_phase_slots());
+
+  PhaseTransitionModel model;
+  ASSERT_NO_THROW(model = PhaseTransitionModel::from_assignments(
+                      tracker.recent_assignments(),
+                      tracker.num_phase_slots()));
+  EXPECT_EQ(model.total_intervals(), tracker.num_intervals());
+}
+
 TEST(OnlineStreaming, MergeRatioZeroDisablesMerging) {
   auto cfg = streaming_config(8);
   cfg.max_phases = 2;
@@ -294,7 +322,6 @@ TEST(OnlineStreaming, RingKeepsOnlyTheWindowTail) {
   for (const auto& snap : cumulative_from_intervals(intervals)) {
     tracker.observe(snap);
   }
-  EXPECT_TRUE(tracker.assignments().empty());  // streaming: no history
   const std::vector<std::size_t> expected{0, 1, 0, 1};
   EXPECT_EQ(tracker.recent_assignments(), expected);
   EXPECT_EQ(tracker.num_intervals(), 10u);
@@ -329,8 +356,8 @@ TEST(OnlineStreaming, TransitionCountingSurvivesMerges) {
 }
 
 TEST(OnlineStreaming, PhaseBoundariesMatchTheOfflinePipeline) {
-  // Batch parity: on seeded multi-phase workloads the streaming
-  // tracker (default 256-wide sketch) must place its phase boundaries
+  // Batch parity: on seeded multi-phase workloads the online tracker
+  // (default 256-wide sketch) must place its phase boundaries
   // where the offline k-means pipeline does, within one interval.
   struct Workload {
     std::uint64_t seed;

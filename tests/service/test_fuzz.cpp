@@ -5,7 +5,6 @@
 // soak (Fuzz.RandomizedSoak) is gated behind the INCPROF_SOAK
 // environment variable — CI runs it for 60 seconds under ASan/UBSan via
 // -DINCPROF_SOAK=ON.
-#include "core/online.hpp"
 #include "service/faults.hpp"
 #include "service/replay.hpp"
 #include "service/server.hpp"
@@ -37,12 +36,7 @@ std::vector<gmon::ProfileSnapshot> synthetic_stream(std::size_t index) {
   return core::testing::cumulative_from_intervals(specs);
 }
 
-std::vector<std::size_t> direct_assignments(
-    const std::vector<gmon::ProfileSnapshot>& snaps) {
-  core::OnlinePhaseTracker tracker;
-  for (const auto& snap : snaps) tracker.observe(snap);
-  return tracker.assignments();
-}
+using core::testing::direct_assignments;
 
 /// The post-fuzz health probe: a clean session replayed start to finish
 /// must still produce exactly the directly-computed assignments.

@@ -1,9 +1,9 @@
 // Fault-tolerance coverage for the hardened incprofd core: protocol
 // error budgets and quarantine, session resume after abrupt
-// disconnects, idle reaping, TCP read deadlines, mid-frame close
+// disconnects, idle reaping, TCP read deadlines (including the default
+// pre-hello one), mid-frame close
 // accounting — capped by the chaos acceptance scenario (faulted and
 // clean sessions sharing one server, with a concurrent obs scrape).
-#include "core/online.hpp"
 #include "obs/http.hpp"
 #include "obs/trace.hpp"
 #include "service/faults.hpp"
@@ -16,6 +16,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,12 +39,7 @@ std::vector<gmon::ProfileSnapshot> synthetic_stream(std::size_t index) {
   return core::testing::cumulative_from_intervals(specs);
 }
 
-std::vector<std::size_t> direct_assignments(
-    const std::vector<gmon::ProfileSnapshot>& snaps) {
-  core::OnlinePhaseTracker tracker;
-  for (const auto& snap : snaps) tracker.observe(snap);
-  return tracker.assignments();
-}
+using core::testing::direct_assignments;
 
 std::uint32_t handshake(Connection& conn, const std::string& name,
                         std::uint32_t resume_id = 0) {
@@ -254,6 +250,59 @@ TEST(Resilience, TcpReadDeadlineDisconnectsSilentClients) {
   }));
   server.stop();
   EXPECT_EQ(server.metrics().counter_value("sessions_opened"), 1u);
+}
+
+TEST(Resilience, PreHelloPartialFrameIsClosedByDefaultDeadline) {
+  // Default config (read_timeout 0). A raw peer sends 12 bytes of a
+  // 28-byte v2 header and waits: the built-in pre-hello deadline must
+  // close it. A session whose hello was accepted first, and which then
+  // stays idle for longer than that deadline, must stay open.
+  TcpListener listener(0);
+  Server server(listener, ServerConfig{});
+  server.start();
+  constexpr auto kDeadline = ServerConfig::kPreHelloReadTimeout;
+
+  auto session_conn = tcp_connect("127.0.0.1", listener.port());
+  const std::uint32_t id = handshake(*session_conn, "idle-but-open");
+
+  const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(stalled, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(stalled, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  HelloPayload hello;
+  hello.client_name = "stalled";
+  const std::string wire = make_hello_frame(hello);
+  ASSERT_EQ(::send(stalled, wire.data(), 12, MSG_NOSIGNAL), 12);
+  const auto sent = std::chrono::steady_clock::now();
+
+  pollfd pfd{};
+  pfd.fd = stalled;
+  pfd.events = POLLIN;
+  const auto slack = std::chrono::milliseconds(2000);
+  const int rc =
+      ::poll(&pfd, 1, static_cast<int>((kDeadline + slack).count()));
+  const auto waited = std::chrono::steady_clock::now() - sent;
+  char byte = 0;
+  const ssize_t got = rc == 1 ? ::recv(stalled, &byte, 1, 0) : 1;
+  ::close(stalled);
+  ASSERT_EQ(rc, 1) << "stalled peer still open after deadline + slack";
+  EXPECT_LE(got, 0) << "expected EOF, not a reply";
+  EXPECT_GE(waited, kDeadline / 2);  // a deadline, not an instant reject
+
+  // The accepted session has now been idle past the pre-hello deadline
+  // and must still answer.
+  QueryPayload query;
+  ASSERT_TRUE(session_conn->send(make_query_frame(id, query)));
+  const auto reply = session_conn->receive();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(decode_frame(*reply).type, FrameType::kQueryReply);
+  EXPECT_EQ(server.metrics().counter_value("sessions_closed"), 0u);
+  server.stop();
 }
 
 TEST(Resilience, MidFrameCloseIsCountedAsDisconnectCause) {

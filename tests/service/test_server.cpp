@@ -27,13 +27,7 @@ std::vector<gmon::ProfileSnapshot> synthetic_stream(std::size_t index) {
   return core::testing::cumulative_from_intervals(specs);
 }
 
-std::vector<std::size_t> direct_assignments(
-    const std::vector<gmon::ProfileSnapshot>& snaps,
-    const core::OnlineConfig& cfg = {}) {
-  core::OnlinePhaseTracker tracker(cfg);
-  for (const auto& snap : snaps) tracker.observe(snap);
-  return tracker.assignments();
-}
+using core::testing::direct_assignments;
 
 std::uint32_t handshake(Connection& conn, const std::string& name,
                         bool subscribe) {
@@ -120,15 +114,14 @@ TEST(Server, EightConcurrentSessionsMatchDirectTrackers) {
 }
 
 TEST(Server, StreamingTrackerSessionsStayBoundedAndMatchDirect) {
-  // Same end-to-end story with the bounded streaming tracker: pushed
-  // phase events must match a directly-driven streaming tracker, and
-  // the session's published history must be capped at the assignment
+  // Same end-to-end story with a narrow sketch and a short window:
+  // pushed phase events must match a directly-driven tracker, and the
+  // session's published history must be capped at the assignment
   // window while the counters keep the exact totals.
   LoopbackHub hub;
   auto listener = hub.make_listener();
   ServerConfig cfg;
   cfg.worker_threads = 2;
-  cfg.session.tracker.streaming = true;
   cfg.session.tracker.sketch_width = 128;
   cfg.session.tracker.assignment_window = 8;
   Server server(*listener, cfg);

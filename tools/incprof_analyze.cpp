@@ -25,10 +25,7 @@
 //   --csv <file>       also write the per-interval feature matrix as CSV
 //   --online           additionally replay the dumps through the
 //                      online tracker and print the transition model
-//   --streaming        use the bounded streaming tracker for the
-//                      --online replay (hash-sketched features, EWMA
-//                      centroids, online merges); implies --online
-//   --sketch-width <n> feature sketch width with --streaming
+//   --sketch-width <n> feature sketch width of the --online tracker
 //                      (default 256)
 
 #include "cluster/simd/simd.hpp"
@@ -59,7 +56,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <dump_dir> [--text] [--merge] [--silhouette] [--online] "
-               "[--streaming] [--sketch-width n] "
+               "[--sketch-width n] "
                "[--standardize] [--threshold f] [--kmax n] [--threads n] "
                "[--simd auto|avx2|neon|scalar] "
                "[--lift callgraph.bin] [--csv intervals.csv] "
@@ -160,9 +157,6 @@ int main(int argc, char** argv) {
       csv_path = argv[++i];
     } else if (std::strcmp(arg, "--online") == 0) {
       online = true;
-    } else if (std::strcmp(arg, "--streaming") == 0) {
-      online = true;
-      online_cfg.streaming = true;
     } else if (std::strcmp(arg, "--sketch-width") == 0 && i + 1 < argc) {
       std::int64_t width = 0;
       if (!util::parse_int(argv[++i], 1, 1 << 20, width)) {
@@ -231,26 +225,22 @@ int main(int argc, char** argv) {
 
     if (online) {
       auto dumps = gmon::load_binary_dumps(dump_dir);
-      // The offline tool replays bounded sessions: size the streaming
+      // The offline tool replays bounded sessions: size the assignment
       // window to cover the whole replay so the transition model sees
       // every interval.
       online_cfg.assignment_window =
           std::max<std::size_t>(online_cfg.assignment_window, dumps.size());
       core::OnlinePhaseTracker tracker(online_cfg);
       for (auto& snap : dumps) tracker.observe(std::move(snap));
-      // Model over phase *slots*: streaming merges keep historical slot
+      // Model over phase *slots*: online merges keep historical slot
       // ids in the assignment stream.
       const auto model = core::PhaseTransitionModel::from_assignments(
           tracker.recent_assignments(), tracker.num_phase_slots());
-      std::printf("streaming replay (%s): %zu phases, %zu transitions",
-                  online_cfg.streaming ? "sketched" : "exact",
-                  tracker.num_phases(), model.num_transitions());
-      if (online_cfg.streaming) {
-        std::printf(", sketch width %zu, DB %.3f, ~%zu KiB state",
-                    online_cfg.sketch_width, tracker.davies_bouldin(),
-                    tracker.state_bytes() / 1024);
-      }
-      std::printf("\n%s\n", model.render().c_str());
+      std::printf("streaming replay: %zu phases, %zu transitions, sketch "
+                  "width %zu, DB %.3f, ~%zu KiB state\n%s\n",
+                  tracker.num_phases(), model.num_transitions(),
+                  online_cfg.sketch_width, tracker.davies_bouldin(),
+                  tracker.state_bytes() / 1024, model.render().c_str());
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -28,15 +28,8 @@
 //                        (default 0 = standalone); session ids come from
 //                        the shard's disjoint range so the gateway can
 //                        route resumes by id alone
-//   --streaming          bounded per-session trackers: hash-sketched
-//                        fixed-width feature vectors, EWMA centroids
-//                        with online phase merging, and a bounded
-//                        assignment ring — O(1) work and memory per
-//                        interval regardless of session length (the
-//                        fleet-scale mode; default off = exact
-//                        growing-column reference trackers)
-//   --sketch-width <n>   feature sketch width with --streaming
-//                        (default 256)
+//   --sketch-width <n>   feature sketch width of each session's
+//                        online tracker (default 256)
 //   --port-file <path>   after binding, write the bound ports ("port
 //                        <n>", "obs_port <n>" lines) — how scripts find
 //                        ephemeral (--port 0) listeners
@@ -103,7 +96,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port n] [--obs-port n] [--shard-id n] "
                "[--port-file path] [--threads n] [--workers n] "
-               "[--streaming] [--simd auto|avx2|neon|scalar] "
+               "[--simd auto|avx2|neon|scalar] "
                "[--sketch-width n] "
                "[--queue-capacity n] [--error-budget n] "
                "[--resume-grace-ms n] [--idle-timeout-ms n] "
@@ -390,8 +383,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       cfg.worker_threads = static_cast<std::size_t>(
           flag_int("--workers", need("--workers"), 1, 1024));
-    } else if (std::strcmp(argv[i], "--streaming") == 0) {
-      cfg.session.tracker.streaming = true;
     } else if (std::strcmp(argv[i], "--simd") == 0) {
       const char* tier_arg = need("--simd");
       cluster::simd::Tier tier;
@@ -475,10 +466,9 @@ int main(int argc, char** argv) {
     server.start();
     const auto obs_endpoint = start_obs_endpoint(obs_port, server);
     std::printf("incprofd: listening on port %u (%zu workers, queue %zu, "
-                "shard %u, %s trackers)\n",
+                "shard %u)\n",
                 listener.port(), server.worker_count(),
-                cfg.session.queue_capacity, cfg.shard_id,
-                cfg.session.tracker.streaming ? "streaming" : "exact");
+                cfg.session.queue_capacity, cfg.shard_id);
     std::fflush(stdout);
     if (!port_file.empty()) {
       std::ofstream pf(port_file, std::ios::trunc);
