@@ -117,6 +117,33 @@ TEST(FlatText, ParseNameWithSpaces) {
   EXPECT_EQ(s.functions()[0].name, "operator new(unsigned long)");
 }
 
+TEST(FlatText, ParseCollapsesWhitespaceInsideNames) {
+  const std::string text =
+      "Flat profile:\n"
+      " time   seconds   seconds    calls  us/call  us/call  name\n"
+      " 50.00       0.10      0.10        1   100.00   100.00  a  b\tc \n"
+      " 25.00       0.15      0.05                             d \t e\r\n";
+  const ProfileSnapshot s = parse_flat_profile(text);
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s.functions()[0].name, "a b c");
+  EXPECT_EQ(s.functions()[1].name, "d e");
+}
+
+TEST(FlatText, ParseDuplicateNameKeepsLastRow) {
+  const std::string text =
+      "Flat profile:\n"
+      " time   seconds   seconds    calls  us/call  us/call  name\n"
+      " 50.00       0.30      0.30        3   100.00   100.00  dup\n"
+      " 30.00       0.50      0.20        1   200.00   200.00  other\n"
+      " 20.00       0.60      0.10                             dup\n";
+  const ProfileSnapshot s = parse_flat_profile(text);
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s.functions()[0].name, "dup");
+  EXPECT_EQ(s.functions()[0].self_ns, 100'000'000);
+  EXPECT_EQ(s.functions()[0].calls, 0);
+  EXPECT_EQ(s.functions()[1].name, "other");
+}
+
 TEST(FlatText, ParseMissingBannerThrows) {
   EXPECT_THROW(parse_flat_profile("no banner here\n"), std::runtime_error);
 }
