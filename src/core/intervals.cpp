@@ -1,51 +1,142 @@
 #include "core/intervals.hpp"
 
 #include <algorithm>
-#include <map>
+#include <limits>
+#include <numeric>
+#include <span>
+#include <string_view>
 
 namespace incprof::core {
+
+namespace {
+
+// a - b, saturated to the int64 range. decode_binary accepts any
+// counter, so an untrusted dump can make a plain difference overflow.
+std::int64_t saturating_sub(std::int64_t a, std::int64_t b) noexcept {
+  std::int64_t d = 0;
+  if (__builtin_sub_overflow(a, b, &d)) {
+    return b < 0 ? std::numeric_limits<std::int64_t>::max()
+                 : std::numeric_limits<std::int64_t>::min();
+  }
+  return d;
+}
+
+// Sorted union of every snapshot's function names, as views into the
+// snapshots. Each snapshot's names are already sorted and unique, so a
+// snapshot that brings no new name costs one merge-walk of compares;
+// only one that does is merged in. (The final cumulative snapshot
+// usually holds every name, but pruned dumps need not.)
+std::vector<std::string_view> name_universe(
+    const std::vector<gmon::ProfileSnapshot>& snapshots) {
+  std::vector<std::string_view> names;
+  std::vector<std::string_view> merged;
+  for (const auto& snap : snapshots) {
+    const auto& fns = snap.functions();
+    std::size_t a = 0;
+    std::size_t b = 0;
+    while (b < fns.size()) {
+      while (a < names.size() && names[a] < fns[b].name) ++a;
+      if (a == names.size() || names[a] != fns[b].name) break;
+      ++a;
+      ++b;
+    }
+    if (b == fns.size()) continue;  // nothing new
+
+    merged.clear();
+    merged.reserve(names.size() + fns.size());
+    a = 0;
+    b = 0;
+    while (a < names.size() || b < fns.size()) {
+      if (b == fns.size() ||
+          (a < names.size() && names[a] < fns[b].name)) {
+        merged.push_back(names[a++]);
+      } else {
+        if (a < names.size() && names[a] == fns[b].name) ++a;
+        merged.push_back(fns[b++].name);
+      }
+    }
+    names.swap(merged);
+  }
+  return names;
+}
+
+// Universe column of each of `snap`'s functions. A snapshot whose size
+// equals the universe's holds every name, in the same order.
+void column_indices(const gmon::ProfileSnapshot& snap,
+                    const std::vector<std::string_view>& names,
+                    std::vector<std::size_t>& cols) {
+  const auto& fns = snap.functions();
+  cols.resize(fns.size());
+  if (fns.size() == names.size()) {
+    std::iota(cols.begin(), cols.end(), std::size_t{0});
+    return;
+  }
+  std::size_t j = 0;
+  for (std::size_t k = 0; k < fns.size(); ++k) {
+    while (names[j] < fns[k].name) ++j;
+    cols[k] = j++;
+  }
+}
+
+}  // namespace
 
 IntervalData IntervalData::from_cumulative(
     const std::vector<gmon::ProfileSnapshot>& snapshots) {
   IntervalData data;
   if (snapshots.empty()) return data;
 
-  // Function universe: every name appearing in any snapshot (the final
-  // cumulative snapshot contains them all, but be robust to pruned dumps).
-  std::map<std::string, std::size_t> index;
-  for (const auto& snap : snapshots) {
-    for (const auto& fp : snap.functions()) index.emplace(fp.name, 0);
-  }
-  data.function_names_.reserve(index.size());
-  for (auto& [name, idx] : index) {
-    idx = data.function_names_.size();
-    data.function_names_.push_back(name);
-  }
+  const std::vector<std::string_view> names = name_universe(snapshots);
+  data.function_names_.assign(names.begin(), names.end());
 
   const std::size_t n = snapshots.size();
-  const std::size_t m = data.function_names_.size();
+  const std::size_t m = names.size();
   data.self_seconds_ = cluster::Matrix(n, m);
   data.calls_ = cluster::Matrix(n, m);
   data.children_seconds_ = cluster::Matrix(n, m);
   data.timestamps_sec_.reserve(n);
 
-  const gmon::ProfileSnapshot empty;
+  // Each interval is snapshot i minus snapshot i-1 (the first minus
+  // zero), as gmon::difference computes it: a function absent from the
+  // previous dump keeps its raw counters, one present in both gets
+  // field-wise deltas clamped at zero. One merge-walk over the two
+  // snapshots' universe columns writes each delta straight into the
+  // three matrix rows; functions absent from snapshot i stay zero.
+  std::vector<std::size_t> cur_cols;
+  std::vector<std::size_t> prev_cols;
   for (std::size_t i = 0; i < n; ++i) {
-    const gmon::ProfileSnapshot& prev = i == 0 ? empty : snapshots[i - 1];
-    const gmon::ProfileSnapshot delta =
-        gmon::difference(snapshots[i], prev);
-    for (const auto& fp : delta.functions()) {
-      const auto it = index.find(fp.name);
-      const std::size_t j = it->second;
-      data.self_seconds_.at(i, j) =
-          static_cast<double>(fp.self_ns) / 1e9;
-      data.calls_.at(i, j) = static_cast<double>(fp.calls);
-      const auto children = fp.inclusive_ns - fp.self_ns;
-      data.children_seconds_.at(i, j) =
+    const auto& cur = snapshots[i].functions();
+    column_indices(snapshots[i], names, cur_cols);
+    // prev_cols is empty for i == 0, so prev is never read there.
+    const gmon::FunctionProfile* prev =
+        i == 0 ? nullptr : snapshots[i - 1].functions().data();
+    const std::span<double> self_row = data.self_seconds_.row(i);
+    const std::span<double> calls_row = data.calls_.row(i);
+    const std::span<double> children_row = data.children_seconds_.row(i);
+
+    std::size_t p = 0;
+    for (std::size_t k = 0; k < cur.size(); ++k) {
+      const gmon::FunctionProfile& fp = cur[k];
+      const std::size_t j = cur_cols[k];
+      std::int64_t self_ns = fp.self_ns;
+      std::int64_t calls = fp.calls;
+      std::int64_t inclusive_ns = fp.inclusive_ns;
+      while (p < prev_cols.size() && prev_cols[p] < j) ++p;
+      if (p < prev_cols.size() && prev_cols[p] == j) {
+        self_ns = std::max<std::int64_t>(
+            0, saturating_sub(self_ns, prev[p].self_ns));
+        calls = std::max<std::int64_t>(0, saturating_sub(calls, prev[p].calls));
+        inclusive_ns = std::max<std::int64_t>(
+            0, saturating_sub(inclusive_ns, prev[p].inclusive_ns));
+      }
+      self_row[j] = static_cast<double>(self_ns) / 1e9;
+      calls_row[j] = static_cast<double>(calls);
+      const std::int64_t children = saturating_sub(inclusive_ns, self_ns);
+      children_row[j] =
           children > 0 ? static_cast<double>(children) / 1e9 : 0.0;
     }
     data.timestamps_sec_.push_back(
         static_cast<double>(snapshots[i].timestamp_ns()) / 1e9);
+    cur_cols.swap(prev_cols);
   }
   return data;
 }

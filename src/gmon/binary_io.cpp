@@ -74,13 +74,20 @@ void write_binary_file(const ProfileSnapshot& snap,
 }
 
 ProfileSnapshot read_binary_file(const std::filesystem::path& path) {
-  std::ifstream is(path, std::ios::binary);
+  // Opened at the end so tellg() sizes the one read of the whole file.
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) {
     throw std::runtime_error("gmon binary: cannot open for read: " +
                              path.string());
   }
-  std::string bytes((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
+  const std::streamoff size = is.tellg();
+  if (size < 0 || !is.seekg(0)) {
+    throw std::runtime_error("gmon binary: cannot size: " + path.string());
+  }
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  if (!is.read(bytes.data(), size)) {
+    throw std::runtime_error("gmon binary: short read: " + path.string());
+  }
   return decode_binary(bytes);
 }
 

@@ -6,13 +6,6 @@
 
 namespace incprof::util {
 
-namespace {
-constexpr bool is_space(char c) noexcept {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
-         c == '\v';
-}
-}  // namespace
-
 std::string_view trim(std::string_view s) noexcept {
   std::size_t b = 0;
   std::size_t e = s.size();

@@ -11,6 +11,13 @@
 
 namespace incprof::util {
 
+/// True for the ASCII whitespace characters (space, \t, \n, \r, \f, \v)
+/// that trim() strips and split_ws() splits on.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
+         c == '\v';
+}
+
 /// Removes leading and trailing ASCII whitespace (no allocation).
 std::string_view trim(std::string_view s) noexcept;
 
@@ -18,7 +25,6 @@ std::string_view trim(std::string_view s) noexcept;
 std::vector<std::string_view> split(std::string_view s, char sep);
 
 /// Splits on runs of ASCII whitespace; empty fields are skipped.
-/// This is the tokenizer for gprof flat-profile rows.
 std::vector<std::string_view> split_ws(std::string_view s);
 
 /// Splits into lines on '\n'; a trailing newline does not produce an
