@@ -38,15 +38,4 @@ double euclidean(std::span<const double> a,
   return std::sqrt(squared_euclidean(a, b));
 }
 
-double manhattan(std::span<const double> a,
-                 std::span<const double> b) noexcept {
-  check_same_size(a, b, "manhattan");
-  return simd::ref::manhattan(a.data(), b.data(), a.size());
-}
-
-double cosine(std::span<const double> a, std::span<const double> b) noexcept {
-  check_same_size(a, b, "cosine");
-  return simd::ref::cosine(a.data(), b.data(), a.size());
-}
-
 }  // namespace incprof::cluster

@@ -22,14 +22,4 @@ double squared_euclidean(std::span<const double> a,
 double euclidean(std::span<const double> a,
                  std::span<const double> b) noexcept;
 
-/// Manhattan (L1) distance. Available for the feature-ablation bench.
-double manhattan(std::span<const double> a,
-                 std::span<const double> b) noexcept;
-
-/// Cosine distance (1 - cosine similarity). Zero-vector convention: two
-/// all-zero vectors are identical (0.0); a zero vector against a
-/// non-zero one is maximally distant (1.0) — an idle interval must not
-/// compare equal to a busy one.
-double cosine(std::span<const double> a, std::span<const double> b) noexcept;
-
 }  // namespace incprof::cluster

@@ -6,6 +6,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -21,9 +22,9 @@ std::size_t KMeansResult::cluster_size(std::size_t c) const noexcept {
 
 namespace {
 
-/// Rows per parallel assignment task; fixed (never derived from the
-/// thread count) so the work decomposition — and therefore every
-/// floating-point reduction order — is identical at any pool size.
+/// Rows per batched kernel call of an assignment pass. Any batch gives
+/// the same answer (each kernel lane is one independent pair); 256 rows
+/// keep a batch's distances in L1.
 constexpr std::size_t kAssignBlock = 256;
 
 /// k-means++ seeding: first centroid uniform, each next centroid chosen
@@ -83,83 +84,257 @@ struct LloydRun {
   std::size_t iterations = 0;
 };
 
-/// Nearest-centroid search for one fixed block of rows, batched: one
-/// SIMD kernel call per centroid over the whole block, then a strict-<
-/// argmin per row in centroid order — the exact comparison sequence
-/// (including the max() sentinel start) the historical per-row scalar
-/// loop performed, so winners and distances are bitwise-identical.
-inline void assign_block(const Matrix& pts, const Matrix& centroids,
-                         std::size_t k, std::size_t lo, std::size_t hi,
-                         double* best, std::size_t* besti) {
-  const simd::BatchKernels& kern = simd::kernels();
-  const std::size_t cnt = hi - lo;
-  const std::size_t d = pts.cols();
-  const double* rows[kAssignBlock];
-  double cur[kAssignBlock];
-  for (std::size_t i = 0; i < cnt; ++i) rows[i] = pts.row_ptr(lo + i);
-  for (std::size_t i = 0; i < cnt; ++i) {
-    best[i] = std::numeric_limits<double>::max();
-    besti[i] = 0;
+// Hamerly's bounds (SDM 2010) over the Lloyd loop. Every row r keeps
+// upper_[r] >= its exact Euclidean distance to its own centroid and
+// lower_[r] <= its exact distance to every other centroid; every
+// centroid c keeps half_sep_[c] <= half the exact distance to its
+// nearest other centroid ("exact" = real arithmetic on the stored
+// doubles). A row whose bounds prove that the kernel's strict-<
+// lowest-index argmin would return its current centroid again skips
+// its scan; every other row is scanned exactly as before. Bounds only
+// ever skip a scan, they never pick a winner (DESIGN §6, rule 5).
+//
+// Rounding: the kernel's squared distance over d columns is within a
+// relative (d + 3)·ε/2 of the exact one, plus an absolute d·2^-1075
+// where squares underflow. A bound made from a kernel distance is
+// widened by the relative margin m = 4·(d + 3)·ε and by kSlack; a
+// shifted bound is rounded outward by kOutward; the skip test widens
+// the upper bound by m and kSlack once more.
+
+/// Absolute slack on every bound: sqrt(d · 2^-1075) < 1e-150 for any
+/// d below 4e23, so it covers the squares that underflow.
+constexpr double kSlack = 1e-150;
+
+/// A bound at or above this settles nothing: squares of smaller
+/// distances cannot overflow, and NaN and ±Inf fail the comparison.
+constexpr double kLimit = 1e150;
+
+/// Past this many columns the (d + 3)·ε/2 error bound no longer holds
+/// without a second-order term; the margin is then infinite and no row
+/// ever settles.
+constexpr std::size_t kMaxBoundedCols = std::size_t{1} << 24;
+
+/// Two ulps at 1: (x ± y)·(1 ± kOutward) rounds past the exact x ± y.
+constexpr double kOutward = 2.0 * std::numeric_limits<double>::epsilon();
+
+constexpr double kNoDistance = std::numeric_limits<double>::max();
+
+double bound_margin(std::size_t d) noexcept {
+  if (d > kMaxBoundedCols) return std::numeric_limits<double>::infinity();
+  return 4.0 * (static_cast<double>(d) + 3.0) *
+         std::numeric_limits<double>::epsilon();
+}
+
+/// The bounded Lloyd loop's per-run state: the bounds (16 B a row) and
+/// the scratch of one compacted scan batch.
+class Hamerly {
+ public:
+  Hamerly(std::size_t n, std::size_t k, std::size_t d)
+      : up_(1.0 + bound_margin(d)),
+        down_(1.0 - bound_margin(d)),
+        upper_(n, std::numeric_limits<double>::infinity()),
+        lower_(n, 0.0),
+        drift_(k, 0.0),
+        half_sep_(k, -std::numeric_limits<double>::infinity()),
+        sep2_(k),
+        centroid_rows_(k) {}
+
+  /// One assignment pass. Settled rows keep their centroid; the rest go
+  /// through compacted batches, in row order. With `dist` (the final
+  /// pass) every row's kernel distance to its centroid is filled in and
+  /// the inertia, summed in row order, is returned.
+  double pass(const Matrix& pts, const Matrix& centroids,
+              std::vector<std::size_t>& assign, std::vector<double>* dist) {
+    settled_.clear();
+    for (std::size_t r = 0; r < pts.rows(); ++r) {
+      if (settled(r, assign[r])) {
+        if (dist != nullptr) settled_.push_back(r);
+        continue;
+      }
+      batch_idx_[batch_] = r;
+      batch_rows_[batch_] = pts.row_ptr(r);
+      if (++batch_ == kAssignBlock) scan(centroids, assign, dist);
+    }
+    scan(centroids, assign, dist);
+    if (dist == nullptr) return 0.0;
+
+    // A settled row's distance comes from the same kernel a scan would
+    // have used, so the inertia's terms are the plain loop's terms.
+    const simd::BatchKernels& kern = simd::kernels();
+    for (std::size_t c = 0; c < centroids.rows(); ++c) {
+      std::size_t cnt = 0;
+      auto flush = [&] {
+        kern.squared_euclidean(centroids.row_ptr(c), batch_rows_, cnt,
+                               pts.cols(), best_);
+        for (std::size_t i = 0; i < cnt; ++i) {
+          (*dist)[batch_idx_[i]] = best_[i];
+        }
+        cnt = 0;
+      };
+      for (std::size_t r : settled_) {
+        if (assign[r] != c) continue;
+        batch_idx_[cnt] = r;
+        batch_rows_[cnt] = pts.row_ptr(r);
+        if (++cnt == kAssignBlock) flush();
+      }
+      flush();
+    }
+    double inertia = 0.0;
+    for (double v : *dist) inertia += v;
+    return inertia;
   }
-  for (std::size_t c = 0; c < k; ++c) {
-    kern.squared_euclidean(centroids.row_ptr(c), rows, cnt, d, cur);
-    for (std::size_t i = 0; i < cnt; ++i) {
-      if (cur[i] < best[i]) {
-        best[i] = cur[i];
-        besti[i] = c;
+
+  /// Shifts every bound by how far each centroid moved (`moved2[c]`,
+  /// the squared movement) and recomputes the centroid separations.
+  void centroids_moved(const Matrix& centroids,
+                       const std::vector<std::size_t>& assign,
+                       const std::vector<double>& moved2) {
+    const std::size_t k = centroids.rows();
+    std::size_t far = 0;
+    double max1 = 0.0;
+    double max2 = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      double p = above(moved2[c]);
+      if (std::isnan(p)) p = std::numeric_limits<double>::infinity();
+      drift_[c] = p;
+      if (p > max1) {
+        max2 = max1;
+        max1 = p;
+        far = c;
+      } else if (p > max2) {
+        max2 = p;
       }
     }
-  }
-}
+    for (std::size_t r = 0; r < upper_.size(); ++r) {
+      const std::size_t a = assign[r];
+      upper_[r] = (upper_[r] + drift_[a]) * (1.0 + kOutward);
+      const double shift = a == far ? max2 : max1;
+      lower_[r] = (lower_[r] - shift) * (1.0 - kOutward);
+    }
 
-/// One full assignment pass. Rows are always processed in fixed
-/// kAssignBlock chunks (per-row results are independent slots) whether
-/// the blocks run serially or on the pool, and the inertia is then
-/// reduced serially in row order — so the answer is bit-identical at
-/// any pool size.
-double assignment_pass(const Matrix& pts, const Matrix& centroids,
-                       std::size_t k, std::vector<std::size_t>& assignments,
-                       std::vector<double>& best_dist,
-                       util::ThreadPool* pool) {
-  const std::size_t n = pts.rows();
-  const std::size_t blocks = (n + kAssignBlock - 1) / kAssignBlock;
-  auto run_block = [&](std::size_t b) {
-    const std::size_t lo = b * kAssignBlock;
-    const std::size_t hi = std::min(n, lo + kAssignBlock);
-    assign_block(pts, centroids, k, lo, hi, best_dist.data() + lo,
-                 assignments.data() + lo);
-  };
-  if (pool != nullptr && n >= 2 * kAssignBlock) {
-    pool->parallel_for(blocks, run_block);
-  } else {
-    for (std::size_t b = 0; b < blocks; ++b) run_block(b);
+    const simd::BatchKernels& kern = simd::kernels();
+    for (std::size_t c = 0; c < k; ++c) {
+      centroid_rows_[c] = centroids.row_ptr(c);
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      kern.squared_euclidean(centroid_rows_[c], centroid_rows_.data(), k,
+                             centroids.cols(), sep2_.data());
+      double nearest = std::numeric_limits<double>::infinity();
+      bool known = true;
+      for (std::size_t j = 0; j < k; ++j) {
+        if (j == c) continue;
+        const double lo = below(sep2_[j]);
+        known = known && !std::isnan(lo);
+        nearest = std::min(nearest, lo);
+      }
+      // An unknown separation proves nothing: NaN never settles a row.
+      half_sep_[c] = known ? 0.5 * nearest
+                           : std::numeric_limits<double>::quiet_NaN();
+    }
   }
-  double inertia = 0.0;
-  for (std::size_t r = 0; r < n; ++r) inertia += best_dist[r];
-  return inertia;
-}
 
-LloydRun lloyd(const Matrix& pts, Matrix centroids,
-               const KMeansConfig& cfg, util::Rng& rng,
-               util::ThreadPool* pool) {
+ private:
+  double widen(double x) const noexcept { return x * up_ + kSlack; }
+  /// Upper and lower bounds on an exact distance whose square the
+  /// kernel computed as `d2`.
+  double above(double d2) const noexcept { return widen(std::sqrt(d2)); }
+  double below(double d2) const noexcept {
+    return std::sqrt(d2) * down_ - kSlack;
+  }
+
+  /// True when row r's bounds prove that centroid a stays its strict
+  /// lowest-index nearest. NaN or ±Inf in any bound never settles.
+  bool settled(std::size_t r, std::size_t a) const noexcept {
+    const double hi = widen(upper_[r]);
+    const double lo = lower_[r];
+    const double sep = half_sep_[a];
+    return std::fabs(hi) < kLimit && std::fabs(lo) < kLimit &&
+           std::fabs(sep) < kLimit && (hi < lo || hi < sep);
+  }
+
+  /// Nearest-centroid search for the pending batch: one SIMD kernel call
+  /// per centroid over the whole batch, then a strict-< argmin per row
+  /// in centroid order — the exact comparison sequence (including the
+  /// max() sentinel start) of the historical per-row scalar loop, so
+  /// winners and distances are bitwise-identical. The runner-up
+  /// distance becomes the row's lower bound.
+  void scan(const Matrix& centroids, std::vector<std::size_t>& assign,
+            std::vector<double>* dist) {
+    const std::size_t cnt = batch_;
+    if (cnt == 0) return;
+    batch_ = 0;
+    const simd::BatchKernels& kern = simd::kernels();
+    for (std::size_t i = 0; i < cnt; ++i) {
+      best_[i] = kNoDistance;
+      second_[i] = kNoDistance;
+      besti_[i] = 0;
+    }
+    for (std::size_t c = 0; c < centroids.rows(); ++c) {
+      kern.squared_euclidean(centroids.row_ptr(c), batch_rows_, cnt,
+                             centroids.cols(), cur_);
+      for (std::size_t i = 0; i < cnt; ++i) {
+        if (cur_[i] < best_[i]) {
+          second_[i] = best_[i];
+          best_[i] = cur_[i];
+          besti_[i] = c;
+        } else if (cur_[i] < second_[i]) {
+          second_[i] = cur_[i];
+        }
+      }
+    }
+    for (std::size_t i = 0; i < cnt; ++i) {
+      const std::size_t r = batch_idx_[i];
+      assign[r] = besti_[i];
+      upper_[r] = above(best_[i]);
+      lower_[r] = below(second_[i]);
+      if (dist != nullptr) (*dist)[r] = best_[i];
+    }
+  }
+
+  double up_;
+  double down_;
+  std::vector<double> upper_;
+  std::vector<double> lower_;
+  std::vector<double> drift_;
+  std::vector<double> half_sep_;
+  std::vector<double> sep2_;
+  std::vector<const double*> centroid_rows_;
+  /// Rows settled in the final pass, in row order.
+  std::vector<std::size_t> settled_;
+
+  std::size_t batch_ = 0;
+  std::size_t batch_idx_[kAssignBlock];
+  const double* batch_rows_[kAssignBlock];
+  double cur_[kAssignBlock];
+  double best_[kAssignBlock];
+  double second_[kAssignBlock];
+  std::size_t besti_[kAssignBlock];
+};
+
+LloydRun lloyd(const Matrix& pts, Matrix centroids, const KMeansConfig& cfg,
+               util::Rng& rng) {
   const std::size_t n = pts.rows();
   const std::size_t d = pts.cols();
   const std::size_t k = centroids.rows();
 
   LloydRun run;
   run.assignments.assign(n, 0);
-  std::vector<double> best_dist(n, 0.0);
+  Hamerly bounds(n, k, d);
+  Matrix next(k, d);
   std::vector<std::size_t> counts(k, 0);
+  std::vector<double> moved2(k, 0.0);
 
   for (std::size_t iter = 0; iter < cfg.max_iters; ++iter) {
     run.iterations = iter + 1;
 
     // Assignment step.
-    run.inertia =
-        assignment_pass(pts, centroids, k, run.assignments, best_dist, pool);
+    bounds.pass(pts, centroids, run.assignments, nullptr);
 
-    // Update step.
-    Matrix next(k, d);
+    // Update step, summed in row order into the reused `next`.
+    for (std::size_t c = 0; c < k; ++c) {
+      const auto row = next.row(c);
+      std::fill(row.begin(), row.end(), 0.0);
+    }
     std::fill(counts.begin(), counts.end(), 0);
     for (std::size_t r = 0; r < n; ++r) {
       const std::size_t c = run.assignments[r];
@@ -179,16 +354,18 @@ LloydRun lloyd(const Matrix& pts, Matrix centroids,
 
     double movement = 0.0;
     for (std::size_t c = 0; c < k; ++c) {
-      movement += squared_euclidean(centroids.row(c), next.row(c));
+      moved2[c] = squared_euclidean(centroids.row(c), next.row(c));
+      movement += moved2[c];
     }
-    centroids = std::move(next);
+    std::swap(centroids, next);
+    bounds.centroids_moved(centroids, run.assignments, moved2);
     if (movement <= cfg.tol) break;
   }
 
   // Final assignment against the last centroids so assignments and
   // centroids are mutually consistent.
-  run.inertia =
-      assignment_pass(pts, centroids, k, run.assignments, best_dist, pool);
+  std::vector<double> dist(n, 0.0);
+  run.inertia = bounds.pass(pts, centroids, run.assignments, &dist);
   run.centroids = std::move(centroids);
   return run;
 }
@@ -196,7 +373,7 @@ LloydRun lloyd(const Matrix& pts, Matrix centroids,
 }  // namespace
 
 KMeansResult kmeans_run(const Matrix& points, const KMeansConfig& config,
-                        util::Rng& rng, util::ThreadPool* pool) {
+                        util::Rng& rng) {
   if (points.rows() == 0 || points.cols() == 0) {
     throw std::invalid_argument("kmeans: empty input matrix");
   }
@@ -205,7 +382,7 @@ KMeansResult kmeans_run(const Matrix& points, const KMeansConfig& config,
   }
   const std::size_t k = std::min(config.k, points.rows());
   Matrix seeds = seed_centroids(points, k, rng);
-  LloydRun run = lloyd(points, std::move(seeds), config, rng, pool);
+  LloydRun run = lloyd(points, std::move(seeds), config, rng);
   KMeansResult result;
   result.assignments = std::move(run.assignments);
   result.centroids = std::move(run.centroids);
@@ -224,17 +401,30 @@ KMeansResult kmeans(const Matrix& points, const KMeansConfig& config,
   }
   const std::size_t k = std::min(config.k, points.rows());
 
+  // One RNG stream per restart, split serially in restart order before
+  // anything fans out (as sweep_k does for its grid).
+  const std::size_t restarts = std::max<std::size_t>(1, config.n_init);
   util::Rng rng(config.seed);
+  std::vector<util::Rng> rngs;
+  rngs.reserve(restarts);
+  for (std::size_t s = 0; s < restarts; ++s) rngs.push_back(rng.split());
+
+  std::vector<KMeansResult> runs(restarts);
+  auto run_restart = [&](std::size_t s) {
+    util::Rng run_rng = rngs[s];
+    runs[s] = kmeans_run(points, config, run_rng);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(restarts, run_restart);
+  } else {
+    for (std::size_t s = 0; s < restarts; ++s) run_restart(s);
+  }
+
+  // The lowest inertia wins by strict `<` in restart order.
   KMeansResult best;
   best.inertia = std::numeric_limits<double>::max();
-
-  const std::size_t restarts = std::max<std::size_t>(1, config.n_init);
-  for (std::size_t s = 0; s < restarts; ++s) {
-    util::Rng run_rng = rng.split();
-    KMeansResult run = kmeans_run(points, config, run_rng, pool);
-    if (run.inertia < best.inertia) {
-      best = std::move(run);
-    }
+  for (KMeansResult& run : runs) {
+    if (run.inertia < best.inertia) best = std::move(run);
   }
 
   std::vector<bool> seen(k, false);

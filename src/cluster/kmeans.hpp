@@ -1,6 +1,9 @@
 // Lloyd's k-means with k-means++ seeding. This is the clustering step of
 // the IncProf pipeline (paper, Section V-A): each profiling interval is a
 // point, each resulting cluster is interpreted as an application phase.
+// The Lloyd loop keeps Hamerly's per-point distance bounds so a point
+// that provably keeps its cluster skips its distance scan; the answer
+// is bit-identical to the plain loop (DESIGN §6, rule 5).
 #pragma once
 
 #include "cluster/matrix.hpp"
@@ -50,9 +53,9 @@ struct KMeansResult {
 /// Runs k-means on `points` (rows = observations). Throws
 /// std::invalid_argument if points is empty or config.k == 0.
 /// k larger than the number of rows is clamped to the row count.
-/// A ThreadPool parallelizes the Lloyd assignment step for large inputs;
-/// results are bit-identical to the serial path (per-row distances are
-/// independent slots, the inertia is reduced serially in row order).
+/// A ThreadPool runs the restarts concurrently; results are
+/// bit-identical to the serial path (RNG streams are split serially in
+/// restart order, the winner is picked by strict `<` in that order).
 KMeansResult kmeans(const Matrix& points, const KMeansConfig& config,
                     util::ThreadPool* pool = nullptr);
 
@@ -62,6 +65,6 @@ KMeansResult kmeans(const Matrix& points, const KMeansConfig& config,
 /// then each grid cell runs independently. `populated_clusters` is left
 /// at 0; multi-restart wrappers fill it for the winning run.
 KMeansResult kmeans_run(const Matrix& points, const KMeansConfig& config,
-                        util::Rng& rng, util::ThreadPool* pool = nullptr);
+                        util::Rng& rng);
 
 }  // namespace incprof::cluster

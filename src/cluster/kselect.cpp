@@ -53,15 +53,13 @@ KSweep sweep_k(const Matrix& points, std::size_t k_max,
   }
 
   // Fan out the k x restart grid: each cell is one independent restart
-  // writing its own slot. Inside a grid task a nested parallel_for runs
-  // inline, so passing the pool down is harmless; it only buys extra
-  // parallelism on the serial-grid path.
+  // writing its own slot.
   std::vector<KMeansResult> grid(top * restarts);
   auto run_cell = [&](std::size_t idx) {
     KMeansConfig cfg = base;
     cfg.k = idx / restarts + 1;
     util::Rng rng = rngs[idx];
-    grid[idx] = kmeans_run(points, cfg, rng, pool);
+    grid[idx] = kmeans_run(points, cfg, rng);
   };
   if (pool != nullptr) {
     pool->parallel_for(grid.size(), run_cell);

@@ -19,24 +19,8 @@ void scalar_squared_euclidean(const double* a, const double* const* rows,
   }
 }
 
-void scalar_manhattan(const double* a, const double* const* rows,
-                      std::size_t count, std::size_t d, double* out) {
-  for (std::size_t t = 0; t < count; ++t) {
-    out[t] = ref::manhattan(a, rows[t], d);
-  }
-}
-
-void scalar_cosine(const double* a, const double* const* rows,
-                   std::size_t count, std::size_t d, double* out) {
-  for (std::size_t t = 0; t < count; ++t) {
-    out[t] = ref::cosine(a, rows[t], d);
-  }
-}
-
 constexpr BatchKernels kScalarKernels{
     scalar_squared_euclidean,
-    scalar_manhattan,
-    scalar_cosine,
 };
 
 Tier probe_tier() noexcept {

@@ -36,10 +36,6 @@ enum class Tier { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 struct BatchKernels {
   void (*squared_euclidean)(const double* a, const double* const* rows,
                             std::size_t count, std::size_t d, double* out);
-  void (*manhattan)(const double* a, const double* const* rows,
-                    std::size_t count, std::size_t d, double* out);
-  void (*cosine)(const double* a, const double* const* rows,
-                 std::size_t count, std::size_t d, double* out);
 };
 
 /// Best tier this host can execute (probed once, cached).

@@ -1,7 +1,8 @@
 #include "core/intervals.hpp"
 
+#include "util/saturating.hpp"
+
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <span>
 #include <string_view>
@@ -9,17 +10,6 @@
 namespace incprof::core {
 
 namespace {
-
-// a - b, saturated to the int64 range. decode_binary accepts any
-// counter, so an untrusted dump can make a plain difference overflow.
-std::int64_t saturating_sub(std::int64_t a, std::int64_t b) noexcept {
-  std::int64_t d = 0;
-  if (__builtin_sub_overflow(a, b, &d)) {
-    return b < 0 ? std::numeric_limits<std::int64_t>::max()
-                 : std::numeric_limits<std::int64_t>::min();
-  }
-  return d;
-}
 
 // Sorted union of every snapshot's function names, as views into the
 // snapshots. Each snapshot's names are already sorted and unique, so a
@@ -123,14 +113,16 @@ IntervalData IntervalData::from_cumulative(
       while (p < prev_cols.size() && prev_cols[p] < j) ++p;
       if (p < prev_cols.size() && prev_cols[p] == j) {
         self_ns = std::max<std::int64_t>(
-            0, saturating_sub(self_ns, prev[p].self_ns));
-        calls = std::max<std::int64_t>(0, saturating_sub(calls, prev[p].calls));
+            0, util::saturating_sub(self_ns, prev[p].self_ns));
+        calls = std::max<std::int64_t>(
+            0, util::saturating_sub(calls, prev[p].calls));
         inclusive_ns = std::max<std::int64_t>(
-            0, saturating_sub(inclusive_ns, prev[p].inclusive_ns));
+            0, util::saturating_sub(inclusive_ns, prev[p].inclusive_ns));
       }
       self_row[j] = static_cast<double>(self_ns) / 1e9;
       calls_row[j] = static_cast<double>(calls);
-      const std::int64_t children = saturating_sub(inclusive_ns, self_ns);
+      const std::int64_t children =
+          util::saturating_sub(inclusive_ns, self_ns);
       children_row[j] =
           children > 0 ? static_cast<double>(children) / 1e9 : 0.0;
     }

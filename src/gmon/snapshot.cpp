@@ -1,5 +1,7 @@
 #include "gmon/snapshot.hpp"
 
+#include "util/saturating.hpp"
+
 #include <algorithm>
 
 namespace incprof::gmon {
@@ -32,7 +34,9 @@ const FunctionProfile* ProfileSnapshot::find(
 
 std::int64_t ProfileSnapshot::total_self_ns() const noexcept {
   std::int64_t total = 0;
-  for (const auto& fp : functions_) total += fp.self_ns;
+  for (const auto& fp : functions_) {
+    total = util::saturating_add(total, fp.self_ns);
+  }
   return total;
 }
 

@@ -59,7 +59,8 @@ class ProfileSnapshot {
   /// Looks up a function by name.
   const FunctionProfile* find(std::string_view name) const noexcept;
 
-  /// Sum of self_ns across all functions.
+  /// Sum of self_ns across all functions, saturated to the int64 range
+  /// (an untrusted dump can hold any counter).
   std::int64_t total_self_ns() const noexcept;
 
   /// Number of functions with any recorded activity.

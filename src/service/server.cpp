@@ -850,12 +850,4 @@ std::size_t Server::handler_count() const {
   return handlers_.size();
 }
 
-std::size_t Server::max_observed_queue_depth() const {
-  std::size_t depth = 0;
-  for (const auto& session : all_sessions()) {
-    depth = std::max(depth, session->max_queue_depth());
-  }
-  return depth;
-}
-
 }  // namespace incprof::service

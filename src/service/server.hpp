@@ -139,9 +139,6 @@ class Server {
   /// retired ones the next accept joins.
   std::size_t handler_count() const;
 
-  /// Largest per-session queue depth observed since start.
-  std::size_t max_observed_queue_depth() const;
-
   /// Tracker workers actually running (resolves worker_threads == 0);
   /// meaningful after start().
   std::size_t worker_count() const noexcept { return workers_.size(); }

@@ -1,5 +1,5 @@
 // Determinism contract of the parallel analysis engine: every parallel
-// code path (distance-cache build, Lloyd assignment, the k x restart
+// code path (distance-cache build, k-means restarts, the k x restart
 // sweep grid, silhouette scoring) must reproduce the serial engine
 // bit-for-bit given the same seed — parallelism buys wall time only.
 #include "cluster/distance.hpp"
@@ -89,8 +89,8 @@ TEST(DistanceCache, BytesRequired) {
 }
 
 TEST(ParallelKMeans, LloydAssignmentBitIdenticalToSerial) {
-  // Large enough that the pooled path actually splits the assignment
-  // step into blocks (n >= 512).
+  // The pooled path runs the eight restarts concurrently; the winner
+  // must be the serial loop's, bit for bit.
   const Matrix m = gaussian_blobs(4, 200, 12.0, 23);
   KMeansConfig cfg;
   cfg.k = 4;

@@ -92,11 +92,9 @@ TEST_F(SimdTest, AllKernelsBitwiseMatchReferenceAtEveryWidthAndCount) {
         ptrs[t] = rows[t].data();
       }
 
-      std::vector<double> want_sq(count), want_man(count), want_cos(count);
+      std::vector<double> want_sq(count);
       for (std::size_t t = 0; t < count; ++t) {
         want_sq[t] = simd::ref::squared_euclidean(a.data(), ptrs[t], d);
-        want_man[t] = simd::ref::manhattan(a.data(), ptrs[t], d);
-        want_cos[t] = simd::ref::cosine(a.data(), ptrs[t], d);
       }
 
       for (simd::Tier tier : executable_tiers()) {
@@ -107,18 +105,6 @@ TEST_F(SimdTest, AllKernelsBitwiseMatchReferenceAtEveryWidthAndCount) {
           ASSERT_EQ(bits(want_sq[t]), bits(got[t]))
               << "squared_euclidean tier=" << simd::tier_name(tier)
               << " d=" << d << " count=" << count << " lane=" << t;
-        }
-        k.manhattan(a.data(), ptrs.data(), count, d, got.data());
-        for (std::size_t t = 0; t < count; ++t) {
-          ASSERT_EQ(bits(want_man[t]), bits(got[t]))
-              << "manhattan tier=" << simd::tier_name(tier) << " d=" << d
-              << " count=" << count << " lane=" << t;
-        }
-        k.cosine(a.data(), ptrs.data(), count, d, got.data());
-        for (std::size_t t = 0; t < count; ++t) {
-          ASSERT_EQ(bits(want_cos[t]), bits(got[t]))
-              << "cosine tier=" << simd::tier_name(tier) << " d=" << d
-              << " count=" << count << " lane=" << t;
         }
       }
     }
@@ -131,10 +117,6 @@ TEST_F(SimdTest, PublicKernelsMatchReferenceLoops) {
   const std::vector<double> b = hostile_vector(rng, 37);
   EXPECT_EQ(bits(squared_euclidean(a, b)),
             bits(simd::ref::squared_euclidean(a.data(), b.data(), 37)));
-  EXPECT_EQ(bits(manhattan(a, b)),
-            bits(simd::ref::manhattan(a.data(), b.data(), 37)));
-  EXPECT_EQ(bits(cosine(a, b)),
-            bits(simd::ref::cosine(a.data(), b.data(), 37)));
 }
 
 TEST_F(SimdTest, DistanceCacheIdenticalAtEveryTier) {
@@ -276,8 +258,6 @@ TEST(SimdDeathTest, MismatchedSpansAbort) {
   const std::vector<double> a{1.0, 2.0, 3.0};
   const std::vector<double> b{1.0, 2.0};
   EXPECT_DEATH(squared_euclidean(a, b), "mismatched spans");
-  EXPECT_DEATH(manhattan(a, b), "mismatched spans");
-  EXPECT_DEATH(cosine(a, b), "mismatched spans");
 }
 
 }  // namespace

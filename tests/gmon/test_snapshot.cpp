@@ -1,6 +1,12 @@
 #include "gmon/snapshot.hpp"
 
+#include "gmon/flat_text.hpp"
+
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <string>
 
 namespace incprof::gmon {
 namespace {
@@ -50,6 +56,29 @@ TEST(Snapshot, TotalSelfNs) {
   s.upsert(fp("b", 250, 1));
   EXPECT_EQ(s.total_self_ns(), 350);
   EXPECT_EQ(ProfileSnapshot().total_self_ns(), 0);
+}
+
+TEST(Snapshot, TotalSelfNsSaturatesAtTheExtremes) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  ProfileSnapshot high;
+  high.upsert(fp("a", kMax, 1));
+  high.upsert(fp("b", kMax, 1));
+  EXPECT_EQ(high.total_self_ns(), kMax);
+  // The text path sums through it: formatting must not overflow either.
+  EXPECT_NE(format_flat_profile(high).find("  a\n"), std::string::npos);
+
+  ProfileSnapshot low;
+  low.upsert(fp("a", kMin, 1));
+  low.upsert(fp("b", kMin, 1));
+  EXPECT_EQ(low.total_self_ns(), kMin);
+
+  // Name order: a and b saturate, then c steps back down.
+  ProfileSnapshot mixed;
+  mixed.upsert(fp("a", kMax, 1));
+  mixed.upsert(fp("b", 7, 1));
+  mixed.upsert(fp("c", -5, 1));
+  EXPECT_EQ(mixed.total_self_ns(), kMax - 5);
 }
 
 TEST(Snapshot, SeqAndTimestampCarried) {
