@@ -92,14 +92,15 @@ def build_type(checkout):
 
 
 def summarize(values):
-    """Median, quartiles (inclusive method), IQR and n of a sample."""
-    values = sorted(values)
-    if len(values) >= 2:
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median, quartiles (inclusive method), IQR and n of a sample, and
+    the runs themselves in run order."""
+    ordered = sorted(values)
+    if len(ordered) >= 2:
+        q1, med, q3 = statistics.quantiles(ordered, n=4, method="inclusive")
     else:
-        q1 = med = q3 = values[0]
+        q1 = med = q3 = ordered[0]
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
-            "n": len(values)}
+            "n": len(values), "runs": list(values)}
 
 
 def unpack_base(sha):
