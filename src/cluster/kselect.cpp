@@ -53,7 +53,9 @@ KSweep sweep_k(const Matrix& points, std::size_t k_max,
   }
 
   // Fan out the k x restart grid: each cell is one independent restart
-  // writing its own slot.
+  // writing its own slot. The pool hands out indices in increasing
+  // order, so the cells go out largest k first: a cell's cost grows with
+  // k, and the big ones no longer start last and set the sweep's tail.
   std::vector<KMeansResult> grid(top * restarts);
   auto run_cell = [&](std::size_t idx) {
     KMeansConfig cfg = base;
@@ -62,7 +64,9 @@ KSweep sweep_k(const Matrix& points, std::size_t k_max,
     grid[idx] = kmeans_run(points, cfg, rng);
   };
   if (pool != nullptr) {
-    pool->parallel_for(grid.size(), run_cell);
+    pool->parallel_for(grid.size(), [&](std::size_t i) {
+      run_cell(grid.size() - 1 - i);
+    });
   } else {
     for (std::size_t idx = 0; idx < grid.size(); ++idx) run_cell(idx);
   }
