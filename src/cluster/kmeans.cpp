@@ -126,7 +126,7 @@ double bound_margin(std::size_t d) noexcept {
 }
 
 /// The bounded Lloyd loop's per-run state: the bounds (16 B a row) and
-/// the scratch of one compacted scan batch.
+/// the working arrays of one compacted scan batch.
 class Hamerly {
  public:
   Hamerly(std::size_t n, std::size_t k, std::size_t d)
