@@ -1,6 +1,7 @@
 #include "cluster/kmeans.hpp"
 
 #include "cluster/distance.hpp"
+#include "cluster/kmeans_bounds.hpp"
 #include "cluster/simd/simd.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -18,6 +19,27 @@ std::size_t KMeansResult::cluster_size(std::size_t c) const noexcept {
     if (a == c) ++n;
   }
   return n;
+}
+
+DistanceBounds::DistanceBounds(std::size_t cols) noexcept
+    : up_(1.0 + margin(cols)), down_(1.0 - margin(cols)) {}
+
+double DistanceBounds::margin(std::size_t cols) noexcept {
+  if (cols > kMaxCols) return std::numeric_limits<double>::infinity();
+  return 4.0 * (static_cast<double>(cols) + 3.0) *
+         std::numeric_limits<double>::epsilon();
+}
+
+double DistanceBounds::widen(double x) const noexcept {
+  return x * up_ + kSlack;
+}
+
+double DistanceBounds::above(double d2) const noexcept {
+  return widen(std::sqrt(d2));
+}
+
+double DistanceBounds::below(double d2) const noexcept {
+  return std::sqrt(d2) * down_ - kSlack;
 }
 
 namespace {
@@ -94,44 +116,19 @@ struct LloydRun {
 // its scan; every other row is scanned exactly as before. Bounds only
 // ever skip a scan, they never pick a winner (DESIGN §6, rule 5).
 //
-// Rounding: the kernel's squared distance over d columns is within a
-// relative (d + 3)·ε/2 of the exact one, plus an absolute d·2^-1075
-// where squares underflow. A bound made from a kernel distance is
-// widened by the relative margin m = 4·(d + 3)·ε and by kSlack; a
-// shifted bound is rounded outward by kOutward; the skip test widens
-// the upper bound by m and kSlack once more.
-
-/// Absolute slack on every bound: sqrt(d · 2^-1075) < 1e-150 for any
-/// d below 4e23, so it covers the squares that underflow.
-constexpr double kSlack = 1e-150;
-
-/// A bound at or above this settles nothing: squares of smaller
-/// distances cannot overflow, and NaN and ±Inf fail the comparison.
-constexpr double kLimit = 1e150;
-
-/// Past this many columns the (d + 3)·ε/2 error bound no longer holds
-/// without a second-order term; the margin is then infinite and no row
-/// ever settles.
-constexpr std::size_t kMaxBoundedCols = std::size_t{1} << 24;
-
-/// Two ulps at 1: (x ± y)·(1 ± kOutward) rounds past the exact x ± y.
-constexpr double kOutward = 2.0 * std::numeric_limits<double>::epsilon();
+// Rounding: a bound made from a kernel distance comes from
+// DistanceBounds; a shifted bound is rounded outward by kOutward; the
+// skip test widens the upper bound once more.
 
 constexpr double kNoDistance = std::numeric_limits<double>::max();
-
-double bound_margin(std::size_t d) noexcept {
-  if (d > kMaxBoundedCols) return std::numeric_limits<double>::infinity();
-  return 4.0 * (static_cast<double>(d) + 3.0) *
-         std::numeric_limits<double>::epsilon();
-}
+constexpr double kOutward = DistanceBounds::kOutward;
 
 /// The bounded Lloyd loop's per-run state: the bounds (16 B a row) and
 /// the working arrays of one compacted scan batch.
 class Hamerly {
  public:
   Hamerly(std::size_t n, std::size_t k, std::size_t d)
-      : up_(1.0 + bound_margin(d)),
-        down_(1.0 - bound_margin(d)),
+      : bounds_(d),
         upper_(n, std::numeric_limits<double>::infinity()),
         lower_(n, 0.0),
         drift_(k, 0.0),
@@ -145,40 +142,24 @@ class Hamerly {
   /// the inertia, summed in row order, is returned.
   double pass(const Matrix& pts, const Matrix& centroids,
               std::vector<std::size_t>& assign, std::vector<double>* dist) {
-    settled_.clear();
+    const simd::BatchKernels& kern = simd::kernels();
     for (std::size_t r = 0; r < pts.rows(); ++r) {
+      const double* row = pts.row_ptr(r);
       if (settled(r, assign[r])) {
-        if (dist != nullptr) settled_.push_back(r);
+        // Each kernel lane is one independent pair, so a settled row's
+        // distance is the term a scan would have given the inertia.
+        if (dist != nullptr) {
+          kern.squared_euclidean(centroids.row_ptr(assign[r]), &row, 1,
+                                 pts.cols(), &(*dist)[r]);
+        }
         continue;
       }
       batch_idx_[batch_] = r;
-      batch_rows_[batch_] = pts.row_ptr(r);
+      batch_rows_[batch_] = row;
       if (++batch_ == kAssignBlock) scan(centroids, assign, dist);
     }
     scan(centroids, assign, dist);
     if (dist == nullptr) return 0.0;
-
-    // A settled row's distance comes from the same kernel a scan would
-    // have used, so the inertia's terms are the plain loop's terms.
-    const simd::BatchKernels& kern = simd::kernels();
-    for (std::size_t c = 0; c < centroids.rows(); ++c) {
-      std::size_t cnt = 0;
-      auto flush = [&] {
-        kern.squared_euclidean(centroids.row_ptr(c), batch_rows_, cnt,
-                               pts.cols(), best_);
-        for (std::size_t i = 0; i < cnt; ++i) {
-          (*dist)[batch_idx_[i]] = best_[i];
-        }
-        cnt = 0;
-      };
-      for (std::size_t r : settled_) {
-        if (assign[r] != c) continue;
-        batch_idx_[cnt] = r;
-        batch_rows_[cnt] = pts.row_ptr(r);
-        if (++cnt == kAssignBlock) flush();
-      }
-      flush();
-    }
     double inertia = 0.0;
     for (double v : *dist) inertia += v;
     return inertia;
@@ -194,7 +175,7 @@ class Hamerly {
     double max1 = 0.0;
     double max2 = 0.0;
     for (std::size_t c = 0; c < k; ++c) {
-      double p = above(moved2[c]);
+      double p = bounds_.above(moved2[c]);
       if (std::isnan(p)) p = std::numeric_limits<double>::infinity();
       drift_[c] = p;
       if (p > max1) {
@@ -223,7 +204,7 @@ class Hamerly {
       bool known = true;
       for (std::size_t j = 0; j < k; ++j) {
         if (j == c) continue;
-        const double lo = below(sep2_[j]);
+        const double lo = bounds_.below(sep2_[j]);
         known = known && !std::isnan(lo);
         nearest = std::min(nearest, lo);
       }
@@ -234,18 +215,11 @@ class Hamerly {
   }
 
  private:
-  double widen(double x) const noexcept { return x * up_ + kSlack; }
-  /// Upper and lower bounds on an exact distance whose square the
-  /// kernel computed as `d2`.
-  double above(double d2) const noexcept { return widen(std::sqrt(d2)); }
-  double below(double d2) const noexcept {
-    return std::sqrt(d2) * down_ - kSlack;
-  }
-
   /// True when row r's bounds prove that centroid a stays its strict
   /// lowest-index nearest. NaN or ±Inf in any bound never settles.
   bool settled(std::size_t r, std::size_t a) const noexcept {
-    const double hi = widen(upper_[r]);
+    constexpr double kLimit = DistanceBounds::kLimit;
+    const double hi = bounds_.widen(upper_[r]);
     const double lo = lower_[r];
     const double sep = half_sep_[a];
     return std::fabs(hi) < kLimit && std::fabs(lo) < kLimit &&
@@ -285,22 +259,19 @@ class Hamerly {
     for (std::size_t i = 0; i < cnt; ++i) {
       const std::size_t r = batch_idx_[i];
       assign[r] = besti_[i];
-      upper_[r] = above(best_[i]);
-      lower_[r] = below(second_[i]);
+      upper_[r] = bounds_.above(best_[i]);
+      lower_[r] = bounds_.below(second_[i]);
       if (dist != nullptr) (*dist)[r] = best_[i];
     }
   }
 
-  double up_;
-  double down_;
+  DistanceBounds bounds_;
   std::vector<double> upper_;
   std::vector<double> lower_;
   std::vector<double> drift_;
   std::vector<double> half_sep_;
   std::vector<double> sep2_;
   std::vector<const double*> centroid_rows_;
-  /// Rows settled in the final pass, in row order.
-  std::vector<std::size_t> settled_;
 
   std::size_t batch_ = 0;
   std::size_t batch_idx_[kAssignBlock];

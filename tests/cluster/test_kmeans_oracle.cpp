@@ -4,11 +4,14 @@
 // detected SIMD tier.
 #include "kmeans_oracle.hpp"
 
+#include "cluster/kmeans_bounds.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -184,6 +187,104 @@ TEST_F(KMeansOracle, HugeAndTinyMagnitudes) {
     expect_matches_oracle(m, 6);
     if (HasFailure()) return;
   }
+}
+
+TEST_F(KMeansOracle, CollinearRowOnTheMovedBisector) {
+  // Five rows on a line at 0, 4, 6, 10 and 14, scaled, shifted and
+  // turned into d columns. A restart seeded at 0 and 10 assigns the row
+  // at 6 to centroid 1; the update moves centroid 0 straight toward it
+  // (to 2) and leaves centroid 1 at 10, so the row lands on the new
+  // bisector. In exact arithmetic its upper bound then equals its lower
+  // bound and the kernel ties, which strict-< hands to centroid 0. Only
+  // the rounding margins stop the bounds from settling it on centroid
+  // 1. With m = 0, about one 1,024-column restart in 250 disagrees with
+  // the plain loop (the kernel's rounding over many columns outgrows
+  // kOutward); with every margin gone, the narrow ones disagree too.
+  const double line[] = {0.0, 4.0, 6.0, 10.0, 14.0};
+  for (std::size_t d : {1u, 2u, 17u, 1024u}) {
+    for (std::uint64_t shape = 0; shape < 150; ++shape) {
+      util::Rng rng(shape * 7919 + d);
+      const double scale = 0.5 + rng.next_double();
+      std::vector<double> origin(d);
+      std::vector<double> direction(d);
+      for (double& x : origin) x = rng.next_gaussian() * 3.0;
+      for (double& x : direction) x = rng.next_gaussian();
+      Matrix m(std::size(line), d);
+      for (std::size_t r = 0; r < m.rows(); ++r) {
+        for (std::size_t j = 0; j < d; ++j) {
+          m.at(r, j) = origin[j] + line[r] * scale * direction[j];
+        }
+      }
+      expect_matches_oracle(m, 2, 40);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST_F(KMeansOracle, DistanceBoundsCoverTheKernelsRounding) {
+  // The bounds the skip test rests on, against exact distances. Integer
+  // coordinates below 2^26 make every difference exact and every square
+  // an integer below 2^54, so the exact squared distance over up to
+  // 256 columns is a uint64 sum, and sqrtl gives the distance to
+  // 2^-64. Squares above 2^53 and long sums make the kernel round, so
+  // a bound without its margin lands below (or above) the exact
+  // distance on about half of the pairs.
+  constexpr std::size_t kRows = 37;  // every SIMD remainder
+  constexpr long double kRef = 0x1p-62L;  // > the reference's error
+  util::Rng rng(71);
+  for (simd::Tier tier : executable_tiers()) {
+    ASSERT_TRUE(simd::set_active_tier(tier));
+    for (std::size_t d : {1u, 2u, 3u, 5u, 8u, 17u, 64u, 256u}) {
+      const DistanceBounds bounds(d);
+      Matrix rows(kRows, d);
+      std::vector<double> centroid(d);
+      const double span = static_cast<double>(std::int64_t{1} << 26);
+      for (double& x : centroid) {
+        x = std::floor((rng.next_double() * 2.0 - 1.0) * span);
+      }
+      for (std::size_t r = 0; r < kRows; ++r) {
+        for (std::size_t j = 0; j < d; ++j) {
+          rows.at(r, j) = std::floor((rng.next_double() * 2.0 - 1.0) * span);
+        }
+      }
+      std::vector<const double*> ptrs(kRows);
+      for (std::size_t r = 0; r < kRows; ++r) ptrs[r] = rows.row_ptr(r);
+      std::vector<double> d2(kRows);
+      simd::kernels().squared_euclidean(centroid.data(), ptrs.data(), kRows,
+                                        d, d2.data());
+      for (std::size_t r = 0; r < kRows; ++r) {
+        std::uint64_t exact2 = 0;
+        for (std::size_t j = 0; j < d; ++j) {
+          const auto diff =
+              static_cast<std::int64_t>(rows.at(r, j) - centroid[j]);
+          exact2 += static_cast<std::uint64_t>(diff * diff);
+        }
+        const long double exact = std::sqrt(static_cast<long double>(exact2));
+        EXPECT_GE(static_cast<long double>(bounds.above(d2[r])),
+                  exact * (1.0L - kRef))
+            << "tier=" << simd::tier_name(tier) << " d=" << d << " row=" << r;
+        EXPECT_LE(static_cast<long double>(bounds.below(d2[r])),
+                  exact * (1.0L + kRef))
+            << "tier=" << simd::tier_name(tier) << " d=" << d << " row=" << r;
+        const double widened = bounds.widen(std::sqrt(d2[r]));
+        EXPECT_GE(static_cast<long double>(widened), exact * (1.0L - kRef));
+      }
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST_F(KMeansOracle, DistanceBoundsMarginGrowsWithTheColumns) {
+  // m must exceed the kernel's relative error bound, (d + 3)·ε/2 on
+  // the square, at every width; past kMaxCols no bound settles a row.
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (std::size_t d : {1u, 64u, 4096u, 1u << 20}) {
+    EXPECT_GE(DistanceBounds::margin(d),
+              (static_cast<double>(d) + 3.0) * eps);
+  }
+  EXPECT_TRUE(std::isinf(DistanceBounds::margin(DistanceBounds::kMaxCols + 1)));
+  const DistanceBounds wide(DistanceBounds::kMaxCols + 1);
+  EXPECT_FALSE(std::fabs(wide.above(1.0)) < DistanceBounds::kLimit);
 }
 
 }  // namespace
