@@ -4,13 +4,16 @@
 Usage, from the root of the repository:
 
     python3 tools/bench_record.py record [--workloads w,...] [--runs n]
-        [--seconds s] [--seed n] [--base <sha>] [--stages]
+        [--seed n] [--base <sha>] [--stages]
     python3 tools/bench_record.py compare [--workloads w,...] [--runs n]
 
 record runs `python3 perfbench/run.py` n times (n >= 5) per workload and
 writes BENCH_<workload>.json at the repo root: for every end-to-end
 metric BENCHMARK.json declares, the median, quartiles, IQR and n, plus
-the git sha, CPU model, SIMD tier, build type and run length. With
+the git sha, CPU model, SIMD tier, build type and run length. Every run
+lasts BENCHMARK.json's run_seconds. The SIMD tier is the one the
+checkout's own libraries pick on this host, read from tools/stage_probe
+built against that checkout. With
 --base, a checkout of that commit is unpacked under .bench_build/ (git
 archive, not a git worktree) and its runs alternate with this
 checkout's, base first on even pairs and change first on odd ones; the
@@ -60,22 +63,6 @@ def cpu_model():
     except OSError:
         pass
     return platform.processor() or platform.machine()
-
-
-def simd_tier():
-    """The tier cluster::simd::detected_tier() picks on this host."""
-    machine = platform.machine()
-    if machine in ("aarch64", "arm64"):
-        return "neon"
-    if machine in ("x86_64", "AMD64"):
-        try:
-            with open("/proc/cpuinfo") as f:
-                for line in f:
-                    if line.startswith("flags") and " avx2" in line:
-                        return "avx2"
-        except OSError:
-            pass
-    return "scalar"
 
 
 def build_type(checkout):
@@ -129,6 +116,14 @@ def run_perfbench(checkout, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
+def simd_tier(probe):
+    """The tier cluster::simd::detected_tier() of the probe's checkout
+    picks on this host."""
+    out = subprocess.run([probe, "tier"], check=True, stdout=subprocess.PIPE,
+                         text=True).stdout.strip().splitlines()[-1]
+    return json.loads(out)["simd_tier"]
+
+
 def stage_probe(checkout):
     """Builds tools/stage_probe (this checkout's source) against
     `checkout`'s libraries; returns the binary's path."""
@@ -164,13 +159,14 @@ class Side:
         self.sha = sha
         self.results = []
         self.stages = []
-        self.probe = None
+        self.probe = stage_probe(checkout)
+        self.tier = simd_tier(self.probe)
+        self.time_stages = False
 
-    def run(self, workload, args):
-        result = run_perfbench(self.checkout, workload, args.seed,
-                               args.seconds)
+    def run(self, workload, args, seconds):
+        result = run_perfbench(self.checkout, workload, args.seed, seconds)
         self.results.append(result)
-        if self.probe is not None:
+        if self.time_stages:
             self.stages.append(run_stages(self.probe, self.checkout,
                                           workload, args.seed))
         return result
@@ -185,6 +181,7 @@ class Side:
                                           better=m["better"])
         out = {
             "git_sha": self.sha,
+            "simd_tier": self.tier,
             "all_correct": all(r["correct"] is True for r in self.results),
             "failed_ops": sum(r["failed"] for r in self.results),
             "attempted_ops": sum(r["attempted"] for r in self.results),
@@ -199,7 +196,7 @@ class Side:
 
 def host_info():
     return {"cpu_model": cpu_model(), "cpus": os.cpu_count(),
-            "simd_tier": simd_tier(), "machine": platform.machine()}
+            "machine": platform.machine()}
 
 
 def record(args, spec):
@@ -214,13 +211,12 @@ def record(args, spec):
         if args.base:
             base = Side(base_dir, base_sha)
             sides.insert(0, base)
-        if args.stages and workload in OFFLINE:
-            for side in sides:
-                side.probe = stage_probe(side.checkout)
+        for side in sides:
+            side.time_stages = args.stages and workload in OFFLINE
         for i in range(args.runs):
             order = sides if i % 2 == 0 else sides[::-1]
             for side in order:
-                r = side.run(workload, args)
+                r = side.run(workload, args, spec["run_seconds"])
                 name = "base" if side is base else "change"
                 log(f"{workload} {i + 1}/{args.runs} {name}: op_p50_ms "
                     f"{r['metrics'].get('op_p50_ms', {}).get('value')}")
@@ -229,7 +225,7 @@ def record(args, spec):
             "recorded": time.strftime("%Y-%m-%d", time.gmtime()),
             "host": host_info(),
             "build_type": build_type(ROOT),
-            "run_seconds": args.seconds,
+            "run_seconds": spec["run_seconds"],
             "seed": args.seed,
             "runs": args.runs,
             "worktree_dirty": dirty,
@@ -262,11 +258,15 @@ def compare(args, spec):
         except OSError:
             print(f"{workload}: no committed BENCH_{workload}.json")
             continue
-        args.seconds = committed.get("run_seconds", args.seconds)
+        if committed.get("run_seconds") != spec["run_seconds"]:
+            print(f"{workload}: the committed file ran "
+                  f"{committed.get('run_seconds')} s runs, BENCHMARK.json "
+                  f"fixes {spec['run_seconds']} s; not comparable")
+            continue
         args.seed = committed.get("seed", args.seed)
         side = Side(ROOT, git("rev-parse", "HEAD"))
         for _ in range(args.runs):
-            side.run(workload, args)
+            side.run(workload, args, spec["run_seconds"])
         now = side.summary(spec)
         print(f"{workload} ({committed['git_sha'][:12]} -> "
               f"{now['git_sha'][:12]}, n={args.runs}, "
@@ -291,7 +291,6 @@ def main():
     parser.add_argument("--workloads", default=",".join(names),
                         help="comma-separated subset of " + ", ".join(names))
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--base", help="commit to alternate runs with")
     parser.add_argument("--stages", action="store_true",
@@ -303,8 +302,8 @@ def main():
             parser.error(f"unknown workload {w!r}")
     if args.runs < 5 and args.mode == "record":
         parser.error("record needs --runs >= 5")
-    if args.runs < 1 or args.seconds <= 0:
-        parser.error("--runs and --seconds must be positive")
+    if args.runs < 1:
+        parser.error("--runs must be positive")
     try:
         (record if args.mode == "record" else compare)(args, spec)
     except (RuntimeError, subprocess.CalledProcessError) as e:

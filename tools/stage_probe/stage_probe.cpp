@@ -2,18 +2,22 @@
 // from the facade's own pipeline_stage_ns histograms (DESIGN §5.1), on
 // perfbench's two offline inputs with perfbench's configurations:
 //
-//   stage_probe paper_apps [--ops n] [--seed s]
-//       collects the five paper apps once, then times n operations of
+//   stage_probe paper_apps [--seed s]
+//       collects the five paper apps once, then times 15 operations of
 //       five analyze_snapshots calls (text round trip, serial engine);
-//   stage_probe wide_trace <dump_dir> [--ops n]
-//       times n analyze_dump_dir calls (binary dumps, every hardware
-//       thread) on a dump directory perfbench's wide_trace wrote.
+//   stage_probe wide_trace <dump_dir>
+//       times 15 analyze_dump_dir calls (binary dumps, every hardware
+//       thread) on a dump directory perfbench's wide_trace wrote;
+//   stage_probe tier
+//       prints the SIMD tier the libraries pick on this host.
 //
 // Prints one JSON line: per stage, the median and quartiles over the
-// operations of the stage's nanoseconds in one operation, in ms.
+// operations of the stage's nanoseconds in one operation, in ms; or
+// {"simd_tier": ...}.
 #include "bench_common.hpp"
 
 #include "apps/harness.hpp"
+#include "cluster/simd/simd.hpp"
 #include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
 
@@ -28,6 +32,9 @@
 namespace {
 
 using namespace incprof;
+
+/// Timed operations per probe, after one warm-up operation.
+constexpr int kOps = 15;
 
 constexpr const char* kStages[] = {
     "load_binary_dumps", "text_round_trip", "differencing", "features",
@@ -50,9 +57,10 @@ double quantile(std::vector<double> v, double q) {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s paper_apps [--ops n] [--seed s]\n"
-               "       %s wide_trace <dump_dir> [--ops n]\n",
-               argv0, argv0);
+               "usage: %s paper_apps [--seed s]\n"
+               "       %s wide_trace <dump_dir>\n"
+               "       %s tier\n",
+               argv0, argv0, argv0);
   return 2;
 }
 
@@ -61,6 +69,11 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   const std::string workload = argv[1];
+  if (workload == "tier" && argc == 2) {
+    std::printf("{\"simd_tier\": \"%s\"}\n",
+                cluster::simd::tier_name(cluster::simd::detected_tier()));
+    return 0;
+  }
   const bool wide = workload == "wide_trace";
   if (!wide && workload != "paper_apps") return usage(argv[0]);
   int i = 2;
@@ -69,18 +82,12 @@ int main(int argc, char** argv) {
     if (argc < 3) return usage(argv[0]);
     dump_dir = argv[i++];
   }
-  int ops = 15;
   std::uint64_t seed = 1;
-  for (; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--ops") == 0) {
-      ops = std::atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(argv[i + 1], nullptr, 10);
-    } else {
-      return usage(argv[0]);
-    }
+  if (!wide && argc == 4 && std::strcmp(argv[2], "--seed") == 0) {
+    seed = std::strtoull(argv[3], nullptr, 10);
+    i = 4;
   }
-  if (i != argc || ops < 1) return usage(argv[0]);
+  if (i != argc) return usage(argv[0]);
 
   core::PipelineConfig cfg = bench::paper_pipeline_config();
   cfg.text_round_trip = !wide;
@@ -105,7 +112,7 @@ int main(int argc, char** argv) {
 
   constexpr std::size_t kCount = std::size(kStages);
   std::vector<std::vector<double>> per_op(kCount);
-  for (int r = 0; r < ops; ++r) {
+  for (int r = 0; r < kOps; ++r) {
     std::uint64_t before[kCount];
     for (std::size_t s = 0; s < kCount; ++s) before[s] = stage_sum(kStages[s]);
     op();
@@ -116,7 +123,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("{\"workload\": \"%s\", \"ops\": %d, \"stages_ms\": {",
-              workload.c_str(), ops);
+              workload.c_str(), kOps);
   const char* sep = "";
   for (std::size_t s = 0; s < kCount; ++s) {
     if (quantile(per_op[s], 1.0) <= 0.0) continue;  // stage not on this path
