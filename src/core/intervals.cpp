@@ -1,6 +1,7 @@
 #include "core/intervals.hpp"
 
 #include "util/saturating.hpp"
+#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <numeric>
@@ -10,6 +11,9 @@
 namespace incprof::core {
 
 namespace {
+
+/// Matrix rows one from_cumulative unit fills.
+constexpr std::size_t kRowsPerUnit = 64;
 
 // Sorted union of every snapshot's function names, as views into the
 // snapshots. Each snapshot's names are already sorted and unique, so a
@@ -71,7 +75,8 @@ void column_indices(const gmon::ProfileSnapshot& snap,
 }  // namespace
 
 IntervalData IntervalData::from_cumulative(
-    const std::vector<gmon::ProfileSnapshot>& snapshots) {
+    const std::vector<gmon::ProfileSnapshot>& snapshots,
+    util::ThreadPool* pool) {
   IntervalData data;
   if (snapshots.empty()) return data;
 
@@ -83,7 +88,7 @@ IntervalData IntervalData::from_cumulative(
   data.self_seconds_ = cluster::Matrix(n, m);
   data.calls_ = cluster::Matrix(n, m);
   data.children_seconds_ = cluster::Matrix(n, m);
-  data.timestamps_sec_.reserve(n);
+  data.timestamps_sec_.resize(n);
 
   // Each interval is snapshot i minus snapshot i-1 (the first minus
   // zero), as gmon::difference computes it: a function absent from the
@@ -91,44 +96,58 @@ IntervalData IntervalData::from_cumulative(
   // field-wise deltas clamped at zero. One merge-walk over the two
   // snapshots' universe columns writes each delta straight into the
   // three matrix rows; functions absent from snapshot i stay zero.
-  std::vector<std::size_t> cur_cols;
-  std::vector<std::size_t> prev_cols;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& cur = snapshots[i].functions();
-    column_indices(snapshots[i], names, cur_cols);
-    // prev_cols is empty for i == 0, so prev is never read there.
-    const gmon::FunctionProfile* prev =
-        i == 0 ? nullptr : snapshots[i - 1].functions().data();
-    const std::span<double> self_row = data.self_seconds_.row(i);
-    const std::span<double> calls_row = data.calls_.row(i);
-    const std::span<double> children_row = data.children_seconds_.row(i);
+  // Unit c fills rows [c * kRowsPerUnit, ...) and recomputes the columns
+  // of the row before its first, so units share nothing and their split
+  // does not depend on the thread count (DESIGN §6 rules 1 and 4).
+  auto fill_unit = [&](std::size_t c) {
+    const std::size_t begin = c * kRowsPerUnit;
+    const std::size_t end = std::min(n, begin + kRowsPerUnit);
+    std::vector<std::size_t> cur_cols;
+    std::vector<std::size_t> prev_cols;
+    if (begin > 0) column_indices(snapshots[begin - 1], names, prev_cols);
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto& cur = snapshots[i].functions();
+      column_indices(snapshots[i], names, cur_cols);
+      // prev_cols is empty for i == 0, so prev is never read there.
+      const gmon::FunctionProfile* prev =
+          i == 0 ? nullptr : snapshots[i - 1].functions().data();
+      const std::span<double> self_row = data.self_seconds_.row(i);
+      const std::span<double> calls_row = data.calls_.row(i);
+      const std::span<double> children_row = data.children_seconds_.row(i);
 
-    std::size_t p = 0;
-    for (std::size_t k = 0; k < cur.size(); ++k) {
-      const gmon::FunctionProfile& fp = cur[k];
-      const std::size_t j = cur_cols[k];
-      std::int64_t self_ns = fp.self_ns;
-      std::int64_t calls = fp.calls;
-      std::int64_t inclusive_ns = fp.inclusive_ns;
-      while (p < prev_cols.size() && prev_cols[p] < j) ++p;
-      if (p < prev_cols.size() && prev_cols[p] == j) {
-        self_ns = std::max<std::int64_t>(
-            0, util::saturating_sub(self_ns, prev[p].self_ns));
-        calls = std::max<std::int64_t>(
-            0, util::saturating_sub(calls, prev[p].calls));
-        inclusive_ns = std::max<std::int64_t>(
-            0, util::saturating_sub(inclusive_ns, prev[p].inclusive_ns));
+      std::size_t p = 0;
+      for (std::size_t k = 0; k < cur.size(); ++k) {
+        const gmon::FunctionProfile& fp = cur[k];
+        const std::size_t j = cur_cols[k];
+        std::int64_t self_ns = fp.self_ns;
+        std::int64_t calls = fp.calls;
+        std::int64_t inclusive_ns = fp.inclusive_ns;
+        while (p < prev_cols.size() && prev_cols[p] < j) ++p;
+        if (p < prev_cols.size() && prev_cols[p] == j) {
+          self_ns = std::max<std::int64_t>(
+              0, util::saturating_sub(self_ns, prev[p].self_ns));
+          calls = std::max<std::int64_t>(
+              0, util::saturating_sub(calls, prev[p].calls));
+          inclusive_ns = std::max<std::int64_t>(
+              0, util::saturating_sub(inclusive_ns, prev[p].inclusive_ns));
+        }
+        self_row[j] = static_cast<double>(self_ns) / 1e9;
+        calls_row[j] = static_cast<double>(calls);
+        const std::int64_t children =
+            util::saturating_sub(inclusive_ns, self_ns);
+        children_row[j] =
+            children > 0 ? static_cast<double>(children) / 1e9 : 0.0;
       }
-      self_row[j] = static_cast<double>(self_ns) / 1e9;
-      calls_row[j] = static_cast<double>(calls);
-      const std::int64_t children =
-          util::saturating_sub(inclusive_ns, self_ns);
-      children_row[j] =
-          children > 0 ? static_cast<double>(children) / 1e9 : 0.0;
+      data.timestamps_sec_[i] =
+          static_cast<double>(snapshots[i].timestamp_ns()) / 1e9;
+      cur_cols.swap(prev_cols);
     }
-    data.timestamps_sec_.push_back(
-        static_cast<double>(snapshots[i].timestamp_ns()) / 1e9);
-    cur_cols.swap(prev_cols);
+  };
+  const std::size_t units = (n + kRowsPerUnit - 1) / kRowsPerUnit;
+  if (pool != nullptr) {
+    pool->parallel_for(units, fill_unit);
+  } else {
+    for (std::size_t c = 0; c < units; ++c) fill_unit(c);
   }
   return data;
 }

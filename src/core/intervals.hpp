@@ -19,6 +19,10 @@
 #include <string>
 #include <vector>
 
+namespace incprof::util {
+class ThreadPool;
+}  // namespace incprof::util
+
 namespace incprof::core {
 
 /// Differenced per-interval profile data over a common function universe.
@@ -29,8 +33,11 @@ class IntervalData {
   /// Snapshots must be ordered by seq (the scanner guarantees this).
   /// Intervals with identical consecutive timestamps are kept (they are
   /// all-zero rows) so the interval axis matches the dump sequence.
+  /// Rows are filled on `pool` when one is given (nullptr = serial); the
+  /// result is the same bit for bit.
   static IntervalData from_cumulative(
-      const std::vector<gmon::ProfileSnapshot>& snapshots);
+      const std::vector<gmon::ProfileSnapshot>& snapshots,
+      util::ThreadPool* pool = nullptr);
 
   /// Number of intervals (rows).
   std::size_t num_intervals() const noexcept {

@@ -39,11 +39,11 @@ std::vector<gmon::ProfileSnapshot> round_trip_text(
   return out;
 }
 
-}  // namespace
-
-PhaseAnalysis analyze_snapshots(
-    const std::vector<gmon::ProfileSnapshot>& snapshots,
-    const PipelineConfig& config) {
+/// analyze_snapshots on a caller-owned pool (nullptr = serial engine),
+/// which differencing and the clustering stages share.
+PhaseAnalysis analyze_on(const std::vector<gmon::ProfileSnapshot>& snapshots,
+                         const PipelineConfig& config,
+                         util::ThreadPool* pool) {
   if (snapshots.size() < 2) {
     throw std::invalid_argument(
         "analyze_snapshots: need at least 2 cumulative snapshots");
@@ -60,18 +60,15 @@ PhaseAnalysis analyze_snapshots(
     obs::ScopedSpan span("pipeline.differencing", "analysis",
                          &stage_hist("differencing"));
     a.intervals = IntervalData::from_cumulative(
-        config.text_round_trip ? round_tripped : snapshots);
+        config.text_round_trip ? round_tripped : snapshots, pool);
   }
   {
     obs::ScopedSpan span("pipeline.features", "analysis",
                          &stage_hist("features"));
     a.features = build_features(a.intervals, config.features);
   }
-  // Pool for the clustering stage (nullptr = serial engine).
-  std::unique_ptr<util::ThreadPool> pool =
-      util::ThreadPool::create(config.threads);
   // detect_phases opens the kmeans_sweep and silhouette stages itself.
-  a.detection = detect_phases(a.features, config.detector, pool.get());
+  a.detection = detect_phases(a.features, config.detector, pool);
   {
     obs::ScopedSpan span("pipeline.rank", "analysis", &stage_hist("rank"));
     a.ranks = RankTable::compute(a.intervals, a.detection);
@@ -88,23 +85,35 @@ PhaseAnalysis analyze_snapshots(
   return a;
 }
 
+}  // namespace
+
+PhaseAnalysis analyze_snapshots(
+    const std::vector<gmon::ProfileSnapshot>& snapshots,
+    const PipelineConfig& config) {
+  const std::unique_ptr<util::ThreadPool> pool =
+      util::ThreadPool::create(config.threads);
+  return analyze_on(snapshots, config, pool.get());
+}
+
 PhaseAnalysis analyze_dump_dir(const std::filesystem::path& dir,
                                const PipelineConfig& config) {
+  const std::unique_ptr<util::ThreadPool> pool =
+      util::ThreadPool::create(config.threads);
   if (config.text_round_trip) {
     // The on-disk variant of the paper's flow: convert each binary dump
     // to a gprof text report, then parse those.
     gmon::convert_dumps_to_text(dir, config.sample_period_ns);
     PipelineConfig inner = config;
     inner.text_round_trip = false;  // already through text on disk
-    return analyze_snapshots(gmon::load_text_dumps(dir), inner);
+    return analyze_on(gmon::load_text_dumps(dir), inner, pool.get());
   }
   std::vector<gmon::ProfileSnapshot> snapshots;
   {
     obs::ScopedSpan span("pipeline.load_binary_dumps", "analysis",
                          &stage_hist("load_binary_dumps"));
-    snapshots = gmon::load_binary_dumps(dir);
+    snapshots = gmon::load_binary_dumps(dir, pool.get());
   }
-  return analyze_snapshots(snapshots, config);
+  return analyze_on(snapshots, config, pool.get());
 }
 
 }  // namespace incprof::core

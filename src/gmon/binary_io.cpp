@@ -2,7 +2,7 @@
 
 #include "util/bytes.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 
@@ -12,9 +12,22 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4d475049;  // "IPGM" little-endian
 constexpr std::uint32_t kVersion = 1;
 
+/// name_len u32 plus the three i64 counters of an empty-named row.
+constexpr std::size_t kMinRowBytes = 4 + 3 * 8;
+
 using util::put_i64;
 using util::put_str;
 using util::put_u32;
+
+/// One counter. gprof counters are never negative, and rejecting one
+/// here keeps every later `max(0, a - b)` free of overflow (DESIGN §2).
+std::int64_t counter(util::ByteReader& r, const char* field) {
+  const std::int64_t v = r.i64();
+  if (v < 0) {
+    throw std::runtime_error(std::string("gmon binary: negative ") + field);
+  }
+  return v;
+}
 }  // namespace
 
 std::string encode_binary(const ProfileSnapshot& snap) {
@@ -47,13 +60,16 @@ ProfileSnapshot decode_binary(std::string_view bytes) {
   const std::uint32_t count = r.u32();
   const std::int64_t ts = r.i64();
   ProfileSnapshot snap(seq, ts);
+  // A row takes at least kMinRowBytes, so a hostile count cannot reserve
+  // more rows than the bytes left could hold.
+  snap.reserve(std::min<std::size_t>(count, r.remaining() / kMinRowBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     FunctionProfile fp;
     fp.name = r.str();
-    fp.self_ns = r.i64();
-    fp.calls = r.i64();
-    fp.inclusive_ns = r.i64();
-    snap.upsert(std::move(fp));
+    fp.self_ns = counter(r, "self_ns");
+    fp.calls = counter(r, "calls");
+    fp.inclusive_ns = counter(r, "inclusive_ns");
+    snap.append(std::move(fp));
   }
   r.expect_end();
   return snap;
@@ -73,7 +89,8 @@ void write_binary_file(const ProfileSnapshot& snap,
   }
 }
 
-ProfileSnapshot read_binary_file(const std::filesystem::path& path) {
+ProfileSnapshot read_binary_file(const std::filesystem::path& path,
+                                 std::string& buffer) {
   // Opened at the end so tellg() sizes the one read of the whole file.
   std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) {
@@ -84,11 +101,20 @@ ProfileSnapshot read_binary_file(const std::filesystem::path& path) {
   if (size < 0 || !is.seekg(0)) {
     throw std::runtime_error("gmon binary: cannot size: " + path.string());
   }
-  std::string bytes(static_cast<std::size_t>(size), '\0');
-  if (!is.read(bytes.data(), size)) {
+  buffer.resize(static_cast<std::size_t>(size));
+  if (!is.read(buffer.data(), size)) {
     throw std::runtime_error("gmon binary: short read: " + path.string());
   }
-  return decode_binary(bytes);
+  try {
+    return decode_binary(buffer);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string(e.what()) + ": " + path.string());
+  }
+}
+
+ProfileSnapshot read_binary_file(const std::filesystem::path& path) {
+  std::string buffer;
+  return read_binary_file(path, buffer);
 }
 
 }  // namespace incprof::gmon

@@ -24,7 +24,8 @@ namespace incprof::gmon {
 std::string encode_binary(const ProfileSnapshot& snap);
 
 /// Parses a binary snapshot. Throws std::runtime_error on a bad magic,
-/// unsupported version, truncated input, or trailing garbage.
+/// unsupported version, truncated input, trailing garbage, or a negative
+/// counter.
 ProfileSnapshot decode_binary(std::string_view bytes);
 
 /// Writes a snapshot to `path` (binary). Throws std::runtime_error on I/O
@@ -33,7 +34,12 @@ void write_binary_file(const ProfileSnapshot& snap,
                        const std::filesystem::path& path);
 
 /// Reads a snapshot from `path`. Throws std::runtime_error on I/O or
-/// format failure.
+/// format failure; every message names the path.
 ProfileSnapshot read_binary_file(const std::filesystem::path& path);
+
+/// As above, reading the file's bytes through `buffer`, which a caller
+/// that reads many files reuses.
+ProfileSnapshot read_binary_file(const std::filesystem::path& path,
+                                 std::string& buffer);
 
 }  // namespace incprof::gmon

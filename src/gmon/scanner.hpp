@@ -11,6 +11,10 @@
 #include <string>
 #include <vector>
 
+namespace incprof::util {
+class ThreadPool;
+}  // namespace incprof::util
+
 namespace incprof::gmon {
 
 /// File-name helpers used by both the collector and the scanner.
@@ -23,10 +27,12 @@ std::string text_dump_name(std::uint32_t seq);
 /// returns false if the name does not match.
 bool parse_dump_seq(const std::string& filename, std::uint32_t& seq);
 
-/// Loads all binary dumps (gmon-*.out) under `dir`, ordered by seq.
-/// Throws std::runtime_error on unreadable or malformed files.
+/// Loads all binary dumps (gmon-*.out) under `dir`, ordered by seq,
+/// decoding on `pool` when one is given (nullptr = serial; the result is
+/// the same). Throws std::runtime_error on unreadable or malformed
+/// files; with several, the error names the first in path order.
 std::vector<ProfileSnapshot> load_binary_dumps(
-    const std::filesystem::path& dir);
+    const std::filesystem::path& dir, util::ThreadPool* pool = nullptr);
 
 /// Outcome of a lenient directory load.
 struct LenientLoadResult {

@@ -24,6 +24,14 @@ void ProfileSnapshot::upsert(FunctionProfile fp) {
   }
 }
 
+void ProfileSnapshot::append(FunctionProfile fp) {
+  if (functions_.empty() || functions_.back().name < fp.name) {
+    functions_.push_back(std::move(fp));
+  } else {
+    upsert(std::move(fp));
+  }
+}
+
 const FunctionProfile* ProfileSnapshot::find(
     std::string_view name) const noexcept {
   auto it = std::lower_bound(functions_.begin(), functions_.end(), name,

@@ -56,6 +56,15 @@ class ProfileSnapshot {
   /// Inserts or overwrites the entry for `fp.name`.
   void upsert(FunctionProfile fp);
 
+  /// As upsert(), but a name above every held one is appended without a
+  /// search — the decoder's path, since the encoder writes names in
+  /// order. Any other name falls back to upsert(), so the last row of a
+  /// repeated name still wins.
+  void append(FunctionProfile fp);
+
+  /// Reserves room for `n` functions.
+  void reserve(std::size_t n) { functions_.reserve(n); }
+
   /// Looks up a function by name.
   const FunctionProfile* find(std::string_view name) const noexcept;
 

@@ -1,6 +1,5 @@
 #include "service/replay.hpp"
 
-#include "gmon/scanner.hpp"
 #include "obs/trace_context.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -248,11 +247,6 @@ ReplayResult replay_session_resilient(
   return converse(
       [&connect] { return std::shared_ptr<Connection>(connect()); },
       snapshots, options, policy);
-}
-
-std::vector<gmon::ProfileSnapshot> load_replay_dumps(
-    const std::filesystem::path& dump_dir) {
-  return gmon::load_binary_dumps(dump_dir);
 }
 
 }  // namespace incprof::service

@@ -1,9 +1,10 @@
 // Client-side session replay: drive the full protocol conversation
 // (hello / snapshots / heartbeat batches / query / bye), reconnecting
-// and resuming when a connection is lost, from a dump directory or an
-// in-memory snapshot stream. The conversation is written once and
-// shared by incprof_client, incprofd --selftest, the examples and the
-// tests, so every consumer speaks the protocol identically.
+// and resuming when a connection is lost, from a snapshot stream (a
+// loaded dump directory or an in-memory run). The conversation is
+// written once and shared by incprof_client, incprofd --selftest, the
+// examples and the tests, so every consumer speaks the protocol
+// identically.
 #pragma once
 
 #include "ekg/heartbeat.hpp"
@@ -12,7 +13,6 @@
 #include "service/transport.hpp"
 
 #include <chrono>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -108,10 +108,5 @@ ReplayResult replay_session_resilient(
 ReplayResult replay_session(Connection& conn,
                             const std::vector<gmon::ProfileSnapshot>& snapshots,
                             const ReplayOptions& options = {});
-
-/// Loads a collector dump directory (gmon-NNNNNN.out files, seq order)
-/// for replay. Throws std::runtime_error on unreadable input.
-std::vector<gmon::ProfileSnapshot> load_replay_dumps(
-    const std::filesystem::path& dump_dir);
 
 }  // namespace incprof::service

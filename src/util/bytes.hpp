@@ -81,6 +81,9 @@ class ByteReader {
   /// A u32 byte count, then that many bytes (the put_str layout).
   std::string str() { return str(u32()); }
 
+  /// Bytes not yet read.
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
+
   /// Throws unless every byte was consumed; `what` (optional) names the
   /// message in the error ("trailing bytes in hello").
   void expect_end(const char* what = nullptr) const {

@@ -1,6 +1,7 @@
 #include "core/intervals.hpp"
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
@@ -189,8 +190,9 @@ void expect_bit_identical(const cluster::Matrix& got,
 }
 
 void expect_matches_name_keyed(
-    const std::vector<gmon::ProfileSnapshot>& snaps) {
-  const IntervalData data = IntervalData::from_cumulative(snaps);
+    const std::vector<gmon::ProfileSnapshot>& snaps,
+    util::ThreadPool* pool = nullptr) {
+  const IntervalData data = IntervalData::from_cumulative(snaps, pool);
   const NameKeyed want = name_keyed(snaps);
   ASSERT_EQ(data.function_names(), want.names);
   expect_bit_identical(data.self_seconds(), want.self_seconds, "self");
@@ -207,14 +209,17 @@ void expect_matches_name_keyed(
 // A seeded cumulative dump stream with the irregularities real dump
 // directories show: functions that first appear late, pruned dumps (a
 // function missing from one dump and back in the next), counter resets,
-// repeated timestamps, empty dumps and the odd negative counter.
-std::vector<gmon::ProfileSnapshot> random_stream(util::Rng& rng) {
+// repeated timestamps, empty dumps and the odd negative counter. `rows`
+// fixes the dump count (0 draws it from 1..60).
+std::vector<gmon::ProfileSnapshot> random_stream(util::Rng& rng,
+                                                 std::size_t rows = 0) {
   struct Counters {
     std::string name;
     std::size_t first_dump;
     std::int64_t self_ns = 0, calls = 0, inclusive_ns = 0;
   };
-  const std::size_t n = static_cast<std::size_t>(rng.next_in(1, 60));
+  const std::size_t n =
+      rows != 0 ? rows : static_cast<std::size_t>(rng.next_in(1, 60));
   std::vector<Counters> fns(static_cast<std::size_t>(rng.next_in(1, 40)));
   for (std::size_t f = 0; f < fns.size(); ++f) {
     fns[f].name = (f % 5 == 0 ? "op new " : "fn_") + std::to_string(f);
@@ -257,6 +262,23 @@ TEST(IntervalDataOracle, SeededStreamsMatchNameKeyedDifferencing) {
   for (int s = 0; s < 300; ++s) {
     expect_matches_name_keyed(random_stream(rng));
     if (HasFailure()) return;
+  }
+}
+
+// from_cumulative fills rows in fixed 64-row units on a pool, each unit
+// recomputing the columns of the row before its first. Streams that end
+// on each side of a unit boundary, pruned dumps included, must give the
+// oracle's answer on the pool as well as serially.
+TEST(IntervalDataOracle, PooledRowUnitsMatchAtEveryBoundary) {
+  util::ThreadPool pool(3);
+  util::Rng rng(0xd1ff'0002);
+  for (const std::size_t rows : {1, 63, 64, 65, 129}) {
+    for (int s = 0; s < 10; ++s) {
+      const auto snaps = random_stream(rng, rows);
+      expect_matches_name_keyed(snaps);
+      expect_matches_name_keyed(snaps, &pool);
+      if (HasFailure()) return;
+    }
   }
 }
 

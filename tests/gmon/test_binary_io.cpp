@@ -1,11 +1,14 @@
 #include "gmon/binary_io.hpp"
 
+#include "util/bytes.hpp"
+
 #include "../hex.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <unistd.h>
 
@@ -96,6 +99,98 @@ TEST(BinaryIo, TrailingGarbageThrows) {
 
 TEST(BinaryIo, EmptyInputThrows) {
   EXPECT_THROW(decode_binary(""), std::runtime_error);
+}
+
+/// Header of a snapshot claiming `count` rows; the rows are appended by
+/// the caller.
+std::string header(std::uint32_t count) {
+  std::string out;
+  util::put_u32(out, 0x4d475049);  // "IPGM"
+  util::put_u32(out, 1);
+  util::put_u32(out, 7);  // seq
+  util::put_u32(out, count);
+  util::put_i64(out, 1000);  // timestamp_ns
+  return out;
+}
+
+void put_row(std::string& out, std::string_view name, std::int64_t self_ns,
+             std::int64_t calls, std::int64_t inclusive_ns) {
+  util::put_str(out, name);
+  util::put_i64(out, self_ns);
+  util::put_i64(out, calls);
+  util::put_i64(out, inclusive_ns);
+}
+
+/// decode_binary's error for a one-row snapshot with these counters, or
+/// "" when it decodes.
+std::string one_row_error(std::int64_t self_ns, std::int64_t calls,
+                          std::int64_t inclusive_ns) {
+  std::string bytes = header(1);
+  put_row(bytes, "f", self_ns, calls, inclusive_ns);
+  try {
+    (void)decode_binary(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// gprof counters are never negative; a decoded one would reach the
+// unchecked subtraction in gmon::difference_into (DESIGN §2).
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+
+TEST(BinaryIo, NegativeSelfNsThrows) {
+  EXPECT_EQ(one_row_error(-1, 0, 0), "gmon binary: negative self_ns");
+  EXPECT_EQ(one_row_error(kMin, 0, 0), "gmon binary: negative self_ns");
+}
+
+TEST(BinaryIo, NegativeCallsThrows) {
+  EXPECT_EQ(one_row_error(0, -1, 0), "gmon binary: negative calls");
+  EXPECT_EQ(one_row_error(0, kMin, 0), "gmon binary: negative calls");
+}
+
+TEST(BinaryIo, NegativeInclusiveNsThrows) {
+  EXPECT_EQ(one_row_error(0, 0, -1), "gmon binary: negative inclusive_ns");
+  EXPECT_EQ(one_row_error(0, 0, kMin), "gmon binary: negative inclusive_ns");
+}
+
+TEST(BinaryIo, ZeroAndMaximalCountersDecode) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(one_row_error(0, 0, 0), "");
+  EXPECT_EQ(one_row_error(kMax, kMax, kMax), "");
+}
+
+// The row reservation is capped by the bytes left (28 a row at least),
+// so a hostile count neither allocates for it nor hides the truncation.
+TEST(BinaryIo, HostileRowCountGivesTruncationNotAnAllocation) {
+  std::string bytes = header(0xFFFFFFFFu);
+  put_row(bytes, "ab", 1, 2, 3);  // 30 bytes: one whole row
+  ASSERT_EQ(bytes.size(), 24u + 30u);
+  try {
+    (void)decode_binary(bytes);
+    FAIL() << "decoded a snapshot claiming 2^32 - 1 rows";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "gmon binary: truncated snapshot");
+  }
+}
+
+// The encoder writes names ascending, and the decoder appends those
+// without a search; rows out of order or repeated still land sorted,
+// the last row of a name winning.
+TEST(BinaryIo, UnsortedAndRepeatedNamesDecodeSortedLastRowWins) {
+  std::string bytes = header(5);
+  put_row(bytes, "m", 1, 1, 1);
+  put_row(bytes, "z", 2, 2, 2);
+  put_row(bytes, "a", 3, 3, 3);
+  put_row(bytes, "m", 4, 4, 4);
+  put_row(bytes, "z", 5, 5, 5);
+  const ProfileSnapshot snap = decode_binary(bytes);
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap.functions()[0], (FunctionProfile{"a", 3, 3, 3}));
+  EXPECT_EQ(snap.functions()[1], (FunctionProfile{"m", 4, 4, 4}));
+  EXPECT_EQ(snap.functions()[2], (FunctionProfile{"z", 5, 5, 5}));
+  EXPECT_EQ(snap.seq(), 7u);
+  EXPECT_EQ(snap.timestamp_ns(), 1000);
 }
 
 class BinaryFileTest : public ::testing::Test {

@@ -2,9 +2,12 @@
 
 #include "gmon/binary_io.hpp"
 #include "gmon/flat_text.hpp"
+#include "util/bytes.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
@@ -113,6 +116,89 @@ TEST_F(ScannerDirTest, ConvertThenLoadTextMatchesBinary) {
 TEST_F(ScannerDirTest, CorruptBinaryDumpThrows) {
   std::ofstream(dir_ / binary_dump_name(0), std::ios::binary) << "garbage";
   EXPECT_THROW(load_binary_dumps(dir_), std::runtime_error);
+}
+
+/// The parallel loader's tests: load units of a fixed number of files,
+/// on pools of several sizes.
+class Scanner : public ScannerDirTest {
+ protected:
+  /// Dumps enough for several load units, written in reverse order.
+  /// Every seventh file holds its rows out of name order and every
+  /// eleventh repeats a name; both must decode as the sorted, last-row-
+  /// wins snapshot.
+  void write_dumps(std::uint32_t count) {
+    for (std::uint32_t seq = count; seq-- > 0;) {
+      std::vector<FunctionProfile> rows;
+      for (std::uint32_t f = 0; f < 5 + seq % 4; ++f) {
+        rows.push_back({"fn_" + std::to_string(f), (seq + 1) * (f + 1),
+                        seq + f, (seq + 2) * (f + 1)});
+      }
+      if (seq % 7 == 3) std::reverse(rows.begin(), rows.end());
+      if (seq % 11 == 5) rows.push_back({"fn_1", 9, 9, 9});
+      std::string bytes;
+      util::put_u32(bytes, 0x4d475049);  // "IPGM"
+      util::put_u32(bytes, 1);
+      util::put_u32(bytes, seq);
+      util::put_u32(bytes, static_cast<std::uint32_t>(rows.size()));
+      util::put_i64(bytes, static_cast<std::int64_t>(seq) * 1000);
+      for (const FunctionProfile& fp : rows) {
+        util::put_str(bytes, fp.name);
+        util::put_i64(bytes, fp.self_ns);
+        util::put_i64(bytes, fp.calls);
+        util::put_i64(bytes, fp.inclusive_ns);
+      }
+      std::ofstream(dir_ / binary_dump_name(seq), std::ios::binary) << bytes;
+    }
+  }
+
+  /// load_binary_dumps' message for `dir_` on a pool of `workers`
+  /// (nullptr below 1), or "" when it loads.
+  std::string load_error(std::size_t workers) {
+    util::ThreadPool pool(workers);
+    try {
+      (void)load_binary_dumps(dir_, workers == 0 ? nullptr : &pool);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  }
+};
+
+TEST_F(Scanner, PoolNeverChangesTheLoad) {
+  write_dumps(100);
+  // The reference: each file read on its own, in seq order.
+  std::vector<ProfileSnapshot> want;
+  for (std::uint32_t seq = 0; seq < 100; ++seq) {
+    want.push_back(read_binary_file(dir_ / binary_dump_name(seq)));
+  }
+  EXPECT_EQ(want[3].functions().front().name, "fn_0");  // was reversed
+  EXPECT_EQ(want[5].find("fn_1")->self_ns, 9);          // repeated name
+
+  EXPECT_EQ(load_binary_dumps(dir_), want);
+  for (const std::size_t workers : {0, 1, 3}) {
+    util::ThreadPool pool(workers);
+    EXPECT_EQ(load_binary_dumps(dir_, &pool), want) << workers << " workers";
+  }
+}
+
+// The pool's own error rule is first-thrown-wins; the loader instead
+// keeps each unit's error and throws the first in path order, so the
+// message never depends on which thread failed first. File 63 ends the
+// second 32-file unit and 64 starts the third, so on a pool the second
+// corrupt file is usually read first.
+TEST_F(Scanner, LoadErrorNamesTheFirstCorruptFileInPathOrder) {
+  write_dumps(100);
+  const std::filesystem::path first = dir_ / binary_dump_name(63);
+  const std::filesystem::path second = dir_ / binary_dump_name(64);
+  std::ofstream(first, std::ios::binary | std::ios::trunc) << "garbage";
+  std::ofstream(second, std::ios::binary | std::ios::trunc) << "IPGM";
+  for (const std::size_t workers : {0, 1, 3}) {
+    for (int rep = 0; rep < 10; ++rep) {
+      const std::string error = load_error(workers);
+      EXPECT_NE(error.find(first.string()), std::string::npos) << error;
+      EXPECT_EQ(error.find(second.string()), std::string::npos) << error;
+    }
+  }
 }
 
 }  // namespace

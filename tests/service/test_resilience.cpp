@@ -22,6 +22,7 @@
 
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <thread>
 
 #include "../core/synthetic.hpp"
@@ -115,6 +116,57 @@ TEST(Resilience, ErrorBudgetElicitsTypedErrorsThenQuarantine) {
   EXPECT_EQ(server.metrics().counter_value("sessions_quarantined"), 1u);
   EXPECT_EQ(server.metrics().counter_value("frames_rejected"), 3u);
   EXPECT_EQ(server.metrics().gauge_value("active_sessions"), 0);
+}
+
+// A snapshot holding a negative counter is malformed (DESIGN §2): it
+// costs one budgeted kProtocolError, and the tracker never sees it.
+// Accepted, an INT64_MIN self time followed by an ordinary dump would
+// overflow gmon::difference_into's subtraction.
+TEST(Resilience, NegativeCounterSnapshotIsAProtocolError) {
+  LoopbackHub hub;
+  auto listener = hub.make_listener();
+  ServerConfig cfg;
+  cfg.protocol_error_budget = 4;
+  Server server(*listener, cfg);
+  server.start();
+
+  auto conn = hub.connect();
+  HelloPayload hello;
+  hello.client_name = "hostile";
+  hello.subscribe_events = true;  // an accepted dump would answer
+  ASSERT_TRUE(conn->send(make_hello_frame(hello)));
+  const auto ack = conn->receive();
+  ASSERT_TRUE(ack.has_value());
+  const std::uint32_t id =
+      decode_hello_ack(decode_frame(*ack).payload).session_id;
+
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  for (std::uint32_t field = 0; field < 3; ++field) {
+    gmon::FunctionProfile fp{"f", 5, 5, 5};
+    (field == 0 ? fp.self_ns : field == 1 ? fp.calls : fp.inclusive_ns) =
+        kMin;
+    gmon::ProfileSnapshot hostile(field, field);
+    hostile.upsert(fp);
+    ASSERT_TRUE(conn->send(make_snapshot_frame(id, hostile)));
+    const auto bytes = conn->receive();
+    ASSERT_TRUE(bytes.has_value());
+    const Frame frame = decode_frame(*bytes);
+    ASSERT_EQ(frame.type, FrameType::kProtocolError) << "field " << field;
+    const auto err = decode_protocol_error(frame.payload);
+    EXPECT_EQ(err.code, ProtocolErrorCode::kMalformedFrame);
+    EXPECT_EQ(err.errors, field + 1);
+  }
+
+  // The session survives, and the next ordinary dump is observed.
+  gmon::ProfileSnapshot ok(3, 3);
+  ok.upsert({"f", 5, 5, 5});
+  ASSERT_TRUE(conn->send(make_snapshot_frame(id, ok)));
+  const auto bytes = conn->receive();
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(decode_frame(*bytes).type, FrameType::kPhaseEvent);
+  server.stop();
+  EXPECT_EQ(server.metrics().counter_value("snapshots_observed"), 1u);
+  EXPECT_EQ(server.metrics().counter_value("frames_rejected"), 3u);
 }
 
 TEST(Resilience, SessionSurvivesDisconnectAndResumesLosslessly) {

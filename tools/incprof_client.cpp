@@ -25,6 +25,7 @@
 //                     fleet-merged /trace.json
 //   --quiet           suppress the per-event log lines
 
+#include "gmon/scanner.hpp"
 #include "service/replay.hpp"
 #include "service/tcp.hpp"
 #include "util/log.hpp"
@@ -143,7 +144,7 @@ int main(int argc, char** argv) {
     }
   }
   try {
-    const auto snapshots = service::load_replay_dumps(dump_dir);
+    const auto snapshots = gmon::load_binary_dumps(dump_dir);
     if (snapshots.empty()) {
       std::fprintf(stderr, "no gmon-*.out dumps in %s\n", dump_dir.c_str());
       return 1;

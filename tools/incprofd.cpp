@@ -60,6 +60,7 @@
 //   --verbose            debug-level diagnostics on stderr
 
 #include "cluster/simd/simd.hpp"
+#include "gmon/scanner.hpp"
 #include "obs/http.hpp"
 #include "obs/trace.hpp"
 #include "service/faults.hpp"
@@ -176,7 +177,7 @@ std::unique_ptr<obs::HttpEndpoint> start_obs_endpoint(
 
 int run_selftest(const std::string& dump_dir, std::size_t sessions,
                  int obs_port, service::ServerConfig cfg) {
-  const auto snapshots = service::load_replay_dumps(dump_dir);
+  const auto snapshots = gmon::load_binary_dumps(dump_dir);
   if (snapshots.empty()) {
     util::log_error("incprofd: no dumps in " + dump_dir);
     return 1;
@@ -245,7 +246,7 @@ int run_selftest(const std::string& dump_dir, std::size_t sessions,
 int run_selftest_chaos(const std::string& dump_dir, std::size_t sessions,
                        int obs_port, service::ServerConfig cfg,
                        std::uint64_t seed, double rate) {
-  const auto snapshots = service::load_replay_dumps(dump_dir);
+  const auto snapshots = gmon::load_binary_dumps(dump_dir);
   if (snapshots.empty()) {
     util::log_error("incprofd: no dumps in " + dump_dir);
     return 1;
