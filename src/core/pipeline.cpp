@@ -39,29 +39,33 @@ std::vector<gmon::ProfileSnapshot> round_trip_text(
   return out;
 }
 
-/// analyze_snapshots on a caller-owned pool (nullptr = serial engine),
-/// which differencing and the clustering stages share.
-PhaseAnalysis analyze_on(const std::vector<gmon::ProfileSnapshot>& snapshots,
-                         const PipelineConfig& config,
-                         util::ThreadPool* pool) {
+/// The text round trip (when configured) and differencing, on `pool`
+/// (nullptr = serial engine).
+IntervalData difference(const std::vector<gmon::ProfileSnapshot>& snapshots,
+                        const PipelineConfig& config,
+                        util::ThreadPool* pool) {
   if (snapshots.size() < 2) {
     throw std::invalid_argument(
         "analyze_snapshots: need at least 2 cumulative snapshots");
   }
-
-  PhaseAnalysis a;
-  {
-    std::vector<gmon::ProfileSnapshot> round_tripped;
-    if (config.text_round_trip) {
-      obs::ScopedSpan span("pipeline.text_round_trip", "analysis",
-                           &stage_hist("text_round_trip"));
-      round_tripped = round_trip_text(snapshots, config.sample_period_ns);
-    }
-    obs::ScopedSpan span("pipeline.differencing", "analysis",
-                         &stage_hist("differencing"));
-    a.intervals = IntervalData::from_cumulative(
-        config.text_round_trip ? round_tripped : snapshots, pool);
+  std::vector<gmon::ProfileSnapshot> round_tripped;
+  if (config.text_round_trip) {
+    obs::ScopedSpan span("pipeline.text_round_trip", "analysis",
+                         &stage_hist("text_round_trip"));
+    round_tripped = round_trip_text(snapshots, config.sample_period_ns);
   }
+  obs::ScopedSpan span("pipeline.differencing", "analysis",
+                       &stage_hist("differencing"));
+  return IntervalData::from_cumulative(
+      config.text_round_trip ? round_tripped : snapshots, pool);
+}
+
+/// Every stage after differencing, on the same pool.
+PhaseAnalysis analyze_intervals(IntervalData intervals,
+                                const PipelineConfig& config,
+                                util::ThreadPool* pool) {
+  PhaseAnalysis a;
+  a.intervals = std::move(intervals);
   {
     obs::ScopedSpan span("pipeline.features", "analysis",
                          &stage_hist("features"));
@@ -92,28 +96,34 @@ PhaseAnalysis analyze_snapshots(
     const PipelineConfig& config) {
   const std::unique_ptr<util::ThreadPool> pool =
       util::ThreadPool::create(config.threads);
-  return analyze_on(snapshots, config, pool.get());
+  return analyze_intervals(difference(snapshots, config, pool.get()), config,
+                           pool.get());
 }
 
 PhaseAnalysis analyze_dump_dir(const std::filesystem::path& dir,
                                const PipelineConfig& config) {
   const std::unique_ptr<util::ThreadPool> pool =
       util::ThreadPool::create(config.threads);
+  PipelineConfig inner = config;
+  inner.text_round_trip = false;  // binary dumps, or through text on disk
+  std::vector<gmon::ProfileSnapshot> snapshots;
   if (config.text_round_trip) {
     // The on-disk variant of the paper's flow: convert each binary dump
     // to a gprof text report, then parse those.
     gmon::convert_dumps_to_text(dir, config.sample_period_ns);
-    PipelineConfig inner = config;
-    inner.text_round_trip = false;  // already through text on disk
-    return analyze_on(gmon::load_text_dumps(dir), inner, pool.get());
-  }
-  std::vector<gmon::ProfileSnapshot> snapshots;
-  {
+    snapshots = gmon::load_text_dumps(dir);
+  } else {
     obs::ScopedSpan span("pipeline.load_binary_dumps", "analysis",
                          &stage_hist("load_binary_dumps"));
     snapshots = gmon::load_binary_dumps(dir, pool.get());
   }
-  return analyze_on(snapshots, config, pool.get());
+  IntervalData intervals = difference(snapshots, inner, pool.get());
+  // The dumps are dead once differenced. Freed here, before clustering,
+  // their memory (much of it in the pool workers' malloc arenas after a
+  // parallel load) is reused by the k-means sweep's scratch; held to the
+  // end, the sweep ran ~15% slower on fresh pages (stage_probe).
+  snapshots = {};
+  return analyze_intervals(std::move(intervals), inner, pool.get());
 }
 
 }  // namespace incprof::core
